@@ -28,7 +28,11 @@ import argparse
 import hashlib
 import json
 import sys
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,11 +45,13 @@ from .data import (
     synth_generate,
     write_labels,
     write_logits,
+    write_table,
 )
 from .errors import NumericError, ValidationError
 from .gcn import gcn_forward, load_model, save_model
 from .metrics import delta_ap_analysis, evaluate, per_class_average_precision
 from .prior import (
+    REWEIGHT_MODES,
     CondProbMatrix,
     conditional_prob,
     cooccurrence,
@@ -54,6 +60,115 @@ from .prior import (
 from .train import TrainConfig, train
 
 _TOOL = "coocrefine"
+
+
+# ---------------------------------------------------------------------------
+# options: one table per subcommand
+# ---------------------------------------------------------------------------
+
+class Opt(NamedTuple):
+    """One setting: flag ``--<name with dashes>``, config and manifest key ``<name>``.
+
+    ``type`` turns the value given on the command line or in a config file
+    into the one the command uses; a value of None stays None.
+    """
+
+    name: str
+    default: object
+    type: object
+    help: str
+    choices: tuple = ()
+
+
+def _parse_list(value, kind) -> tuple:
+    """Comma-separated text, or an already-parsed JSON list, as a tuple of ``kind``."""
+    if isinstance(value, (list, tuple)):
+        return tuple(kind(v) for v in value)
+    return tuple(kind(v) for v in str(value).split(","))
+
+
+_ints = partial(_parse_list, kind=int)
+_floats = partial(_parse_list, kind=float)
+
+
+def _clusters(value) -> tuple[tuple[int, ...], ...]:
+    """Cluster sets as 'i,j,k;m,n' or an already-parsed nested list."""
+    if isinstance(value, (list, tuple)):
+        return tuple(_ints(group) for group in value)
+    return tuple(_ints(group) for group in str(value).split(";") if group)
+
+
+def _train_options():
+    """The training hyperparameters, as TrainConfig declares them."""
+    for f in fields(TrainConfig):
+        if isinstance(f.default, tuple):
+            yield Opt(f.name, ",".join(map(str, f.default)), _ints, f.metadata["help"])
+        else:
+            yield Opt(f.name, f.default, type(f.default), f.metadata["help"], f.metadata["choices"])
+
+
+_COMMON = (
+    Opt("seed", 0, int, "base seed; all stages derive from it"),
+    Opt("out_dir", ".", str, "output directory"),
+)
+_A_CSV = "A.csv written by prior/train, classes in label-file order"
+
+# subcommand -> (help, options besides _COMMON); an option named like a
+# common one replaces it
+_SUBCOMMANDS = {
+    "synth": ("generate a synthetic correlated dataset", (
+        Opt("n_classes", 20, int, "number of classes"),
+        Opt("n_samples", 1000, int, "number of samples"),
+        Opt("clusters", "", _clusters, "co-occurring class-index groups, e.g. '0,1,2;3,4'"),
+        Opt("within_cluster_prob", 0.9, float,
+            "co-activation probability of non-chosen cluster members"),
+        Opt("base_prob", 0.3, float, "activation probability of clusters and free classes"),
+        Opt("cluster_probs", None, _floats,
+            "per-cluster activation probabilities, comma separated"),
+        Opt("signal_strength", "2.0", _floats,
+            "scalar or per-class comma-separated logit separation"),
+        Opt("noise_std", 1.0, float, "logit noise std"),
+    )),
+    "prior": ("co-occurrence counts, conditional probabilities, alphas", (
+        Opt("labels", None, str, "label CSV path"),
+        Opt("reweight_mode", "frequency", str, "per-class loss weights", REWEIGHT_MODES),
+    )),
+    "train": ("fit the refinement head", (
+        Opt("labels", None, str, "training label CSV"),
+        Opt("logits", None, str, "training logits CSV"),
+        Opt("val_labels", None, str, "validation label CSV"),
+        Opt("val_logits", None, str, "validation logits CSV"),
+        *_train_options(),
+    )),
+    "eval": ("evaluate raw and optionally refined logits", (
+        Opt("labels", None, str, "label CSV path"),
+        Opt("logits", None, str, "logits CSV path"),
+        Opt("model", None, str, "model file; requires --cond-prob"),
+        Opt("cond_prob", None, str, _A_CSV),
+        Opt("threshold", 0.5, float, "sigmoid probability threshold for P/R/F1"),
+        Opt("topk", None, int, "predict the k best classes per sample instead of thresholding"),
+        Opt("condprob_k", 3, int, "k for the per-class co-occurrence strength column"),
+        Opt("refined_out", None, str, "also write refined logits CSV under this name (--model)"),
+    )),
+    "analyze": ("AP improvement vs. co-occurrence strength", (
+        Opt("labels", None, str, "label CSV path"),
+        Opt("cond_prob", None, str, _A_CSV),
+        Opt("before", None, str, "scores CSV before refinement"),
+        Opt("after", None, str, "scores CSV after refinement"),
+        Opt("model", None, str, "alternative to --before/--after: refine --logits with this model"),
+        Opt("logits", None, str, "logits CSV for --model mode"),
+        Opt("k", 3, int, "top-k conditional probabilities per class"),
+        Opt("bin_size", 0.02, float, "width of the co-occurrence strength bins"),
+    )),
+}
+
+
+def _options(subcommand: str) -> dict[str, Opt]:
+    return {opt.name: opt for opt in (*_COMMON, *_SUBCOMMANDS[subcommand][1])}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 # ---------------------------------------------------------------------------
@@ -74,30 +189,45 @@ def _load_config_file(path) -> dict:
         raw = raw["config"]        # a manifest doubles as a config file
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: manifest config must be a JSON object")
+    raw.pop("threads", None)       # older manifests record a since-removed no-op flag
     return raw
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """Merge flag > config file > default, per documented precedence."""
+def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
+    """Merge flag > config file > default, per documented precedence.
+
+    Returns the values as given, which the manifest records, and the same
+    values converted by their options' types.
+    """
+    options = _options(args.subcommand)
     file_cfg = _load_config_file(args.config) if args.config else {}
-    unknown = set(file_cfg) - set(defaults)
+    unknown = set(file_cfg) - set(options)
     if unknown:
-        raise ValidationError(
-            f"unknown config keys: {', '.join(sorted(unknown))}"
-        )
-    resolved = {}
-    for key, default in defaults.items():
-        value = getattr(args, key, None)
+        raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    resolved, typed = {}, {}
+    for name, opt in options.items():
+        value = getattr(args, name)
         if value is None:
-            value = file_cfg.get(key, default)
-        resolved[key] = value
-    return resolved
+            value = file_cfg.get(name, opt.default)
+        if opt.choices and value not in opt.choices:
+            raise ValidationError(f"invalid {_flag(name)} '{value}' (one of {opt.choices})")
+        try:
+            typed[name] = None if value is None else opt.type(value)
+        except (TypeError, ValueError):
+            raise ValidationError(f"invalid {_flag(name)} '{value}'") from None
+        resolved[name] = value
+    return resolved, SimpleNamespace(**typed)
+
+
+def _fill(cls, values: SimpleNamespace):
+    """Build dataclass ``cls`` from the resolved options of the same names."""
+    return cls(**{f.name: getattr(values, f.name) for f in fields(cls)})
 
 
 def _require(resolved: dict, *keys: str):
     for key in keys:
         if resolved[key] is None:
-            raise ValidationError(f"missing required --{key.replace('_', '-')}")
+            raise ValidationError(f"missing required {_flag(key)}")
 
 
 def _sha256(path) -> str:
@@ -108,8 +238,8 @@ def _sha256(path) -> str:
     return h.hexdigest()
 
 
-def _out_dir(resolved: dict) -> Path:
-    out = Path(resolved["out_dir"])
+def _out_dir(path) -> Path:
+    out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     probe = out / ".write_probe"
     try:
@@ -130,147 +260,76 @@ def _write_manifest(out: Path, subcommand: str, resolved: dict, inputs: dict, ou
         "inputs": {role: {"path": str(p), "sha256": _sha256(p)} for role, p in inputs.items()},
         "outputs": sorted(str(o) for o in outputs),
     }
-    path = out / f"{subcommand}_manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    return path
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out / f"{subcommand}_manifest.json").write_text(text, encoding="utf-8")
 
 
-# ---------------------------------------------------------------------------
-# small CSV helpers for matrix outputs
-# ---------------------------------------------------------------------------
-
-def _write_square_csv(path, matrix: np.ndarray, names, integer: bool) -> None:
-    lines = ["class," + ",".join(names)]
-    for name, row in zip(names, matrix):
-        if integer:
-            cells = ",".join(str(int(v)) for v in row)
-        else:
-            cells = ",".join(repr(float(v)) for v in row)
-        lines.append(f"{name},{cells}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+def _write_prior_files(out: Path, labels) -> tuple[list[str], object]:
+    cooc = cooccurrence(labels)
+    names = labels.class_names
+    for name, matrix in (("C.csv", cooc.counts), ("A.csv", conditional_prob(cooc).probs)):
+        rows = ((cls, *row) for cls, row in zip(names, matrix.tolist()))
+        write_table(out / name, ("class", *names), rows)
+    return ["C.csv", "A.csv"], cooc
 
 
-def _read_square_csv(path) -> tuple[np.ndarray, tuple[str, ...]]:
+def _write_alpha(out: Path, weights, names) -> str:
+    write_table(out / "alpha.csv", ("class", "alpha"), zip(names, weights.alphas.tolist()))
+    return "alpha.csv"
+
+
+def _load_cond_prob(path, labels) -> CondProbMatrix:
+    """Read an A.csv whose header and row labels are the labels' class names, in order.
+
+    Zero-count bookkeeping is not stored in the CSV; propagation only
+    needs the matrix itself.
+    """
     path = Path(path)
     try:
         lines = path.read_text(encoding="utf-8").splitlines()
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}") from None
-    if not lines or not lines[0].startswith("class,"):
-        raise ValidationError(f"{path}: malformed header: expected 'class,<names>'")
-    names = lines[0].split(",")[1:]
+    names = labels.class_names
+    if not lines or lines[0].split(",") != ["class", *names]:
+        raise ValidationError(f"{path}: header must be 'class' then the labels' class names")
     n = len(names)
     if len(lines) - 1 != n:
         raise ValidationError(f"{path}: expected {n} rows, got {len(lines) - 1}")
     matrix = np.empty((n, n), dtype=np.float64)
-    for i, line in enumerate(lines[1:]):
+    for i, (name, line) in enumerate(zip(names, lines[1:])):
         cells = line.split(",")
+        if cells[0] != name:
+            raise ValidationError(f"{path}: line {i + 2}: expected class '{name}'")
         if len(cells) != n + 1:
             raise ValidationError(f"{path}: line {i + 2}: expected {n + 1} cells")
         try:
             matrix[i] = [float(c) for c in cells[1:]]
         except ValueError:
             raise ValidationError(f"{path}: line {i + 2}: invalid number") from None
-    return matrix, tuple(names)
-
-
-def _load_cond_prob(path) -> CondProbMatrix:
-    # zero-count bookkeeping is not stored in the CSV; propagation only
-    # needs the matrix itself
-    matrix, _ = _read_square_csv(path)
-    return CondProbMatrix(matrix, frozenset())
-
-
-def _write_alpha_csv(path, weights, names) -> None:
-    lines = ["class,alpha"]
-    for name, a in zip(names, weights.alphas):
-        lines.append(f"{name},{float(a)!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def _write_prior_files(out: Path, labels) -> tuple[list[Path], object]:
-    cooc = cooccurrence(labels)
-    cond = conditional_prob(cooc)
-    names = labels.class_names
-    c_path, a_path = out / "C.csv", out / "A.csv"
-    _write_square_csv(c_path, cooc.counts, names, integer=True)
-    _write_square_csv(a_path, cond.probs, names, integer=False)
-    return [c_path, a_path], cooc
-
-
-# ---------------------------------------------------------------------------
-# flag parsing helpers
-# ---------------------------------------------------------------------------
-
-def _parse_clusters(text) -> tuple[tuple[int, ...], ...]:
-    """Cluster sets as 'i,j,k;m,n' or an already-parsed nested list."""
-    if not text:
-        return ()
-    if isinstance(text, (list, tuple)):
-        return tuple(tuple(int(i) for i in group) for group in text)
-    groups = [g for g in str(text).split(";") if g]
     try:
-        return tuple(tuple(int(i) for i in g.split(",")) for g in groups)
-    except ValueError:
-        raise ValidationError(f"invalid clusters spec '{text}'") from None
+        return CondProbMatrix(matrix, frozenset())
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
-def _parse_float_list(text, name: str):
-    if text is None:
-        return None
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    try:
-        return tuple(float(v) for v in str(text).split(","))
-    except ValueError:
-        raise ValidationError(f"invalid {name} '{text}'") from None
-
-
-def _parse_dims(text) -> tuple[int, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(int(d) for d in text)
-    try:
-        return tuple(int(d) for d in str(text).split(","))
-    except ValueError:
-        raise ValidationError(f"invalid gcn dims '{text}'") from None
+def _refine(values, labels, logits, inputs: dict) -> tuple[CondProbMatrix, np.ndarray]:
+    """Refine ``logits`` with the --model head over the --cond-prob prior."""
+    cond = _load_cond_prob(values.cond_prob, labels)
+    refined, _ = gcn_forward(load_model(values.model), cond, logits.values)
+    inputs.update(model=values.model, cond_prob=values.cond_prob)
+    return cond, refined
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-_SYNTH_DEFAULTS = {
-    "n_classes": 20,
-    "n_samples": 1000,
-    "clusters": "",
-    "within_cluster_prob": 0.9,
-    "base_prob": 0.3,
-    "cluster_probs": None,
-    "signal_strength": "2.0",
-    "noise_std": 1.0,
-    "seed": 0,
-    "threads": 1,
-    "out_dir": ".",
-}
-
-
 def cmd_synth(args) -> int:
-    resolved = _resolve(args, _SYNTH_DEFAULTS)
-    out = _out_dir(resolved)
-    strengths = _parse_float_list(resolved["signal_strength"], "signal_strength")
-    if len(strengths) == 1:
-        strengths = strengths * int(resolved["n_classes"])
-    spec = SyntheticSpec(
-        n_classes=int(resolved["n_classes"]),
-        n_samples=int(resolved["n_samples"]),
-        clusters=_parse_clusters(resolved["clusters"]),
-        within_cluster_prob=float(resolved["within_cluster_prob"]),
-        base_prob=float(resolved["base_prob"]),
-        signal_strength=strengths,
-        noise_std=float(resolved["noise_std"]),
-        seed=int(resolved["seed"]),
-        cluster_probs=_parse_float_list(resolved["cluster_probs"], "cluster_probs"),
-    )
+    resolved, o = _resolve(args)
+    out = _out_dir(o.out_dir)
+    if len(o.signal_strength) == 1:
+        o.signal_strength *= o.n_classes
+    spec = _fill(SyntheticSpec, o)
     labels, logits = synth_generate(spec)
     labels_path, logits_path = out / "labels.csv", out / "logits.csv"
     write_labels(labels, labels_path)
@@ -280,102 +339,44 @@ def cmd_synth(args) -> int:
     return 0
 
 
-_PRIOR_DEFAULTS = {
-    "labels": None,
-    "reweight_mode": "frequency",
-    "seed": 0,
-    "threads": 1,
-    "out_dir": ".",
-}
-
-
 def cmd_prior(args) -> int:
-    resolved = _resolve(args, _PRIOR_DEFAULTS)
+    resolved, o = _resolve(args)
     _require(resolved, "labels")
-    out = _out_dir(resolved)
-    labels = load_labels(resolved["labels"])
-    prior_paths, cooc = _write_prior_files(out, labels)
-    alpha_path = out / "alpha.csv"
-    _write_alpha_csv(alpha_path, reweighting(cooc, resolved["reweight_mode"]), labels.class_names)
-    outputs = [p.name for p in prior_paths] + [alpha_path.name]
-    _write_manifest(out, "prior", resolved, {"labels": resolved["labels"]}, outputs)
+    out = _out_dir(o.out_dir)
+    labels = load_labels(o.labels)
+    outputs, cooc = _write_prior_files(out, labels)
+    outputs.append(_write_alpha(out, reweighting(cooc, o.reweight_mode), labels.class_names))
+    _write_manifest(out, "prior", resolved, {"labels": o.labels}, outputs)
     print(f"wrote {', '.join(outputs)} to {out}")
     return 0
 
 
-_TRAIN_DEFAULTS = {
-    "labels": None,
-    "logits": None,
-    "val_labels": None,
-    "val_logits": None,
-    "epochs": 50,
-    "batch_size": 32,
-    "lr0": 0.002,
-    "momentum": 0.0,
-    "gamma_pos": 1.0,
-    "gamma_neg": 3.0,
-    "delta": 0.05,
-    "eps": 1e-8,
-    "gcn_dims": "1,64,64,1",
-    "leaky_slope": 0.01,
-    "final_nonlinearity": False,
-    "reweight_mode": "frequency",
-    "seed": 0,
-    "threads": 1,
-    "out_dir": ".",
-}
-
-
 def cmd_train(args) -> int:
-    resolved = _resolve(args, _TRAIN_DEFAULTS)
+    resolved, o = _resolve(args)
     _require(resolved, "labels", "logits")
-    if (resolved["val_labels"] is None) != (resolved["val_logits"] is None):
+    if (o.val_labels is None) != (o.val_logits is None):
         raise ValidationError("--val-labels and --val-logits must be given together")
-    out = _out_dir(resolved)
+    out = _out_dir(o.out_dir)
 
-    labels = load_labels(resolved["labels"])
-    logits = load_logits(resolved["logits"], labels)
+    labels = load_labels(o.labels)
+    logits = load_logits(o.logits, labels)
     validation = None
-    inputs = {"labels": resolved["labels"], "logits": resolved["logits"]}
-    if resolved["val_labels"] is not None:
-        val_labels = load_labels(resolved["val_labels"])
-        validation = (val_labels, load_logits(resolved["val_logits"], val_labels))
-        inputs["val_labels"] = resolved["val_labels"]
-        inputs["val_logits"] = resolved["val_logits"]
+    inputs = {"labels": o.labels, "logits": o.logits}
+    if o.val_labels is not None:
+        val_labels = load_labels(o.val_labels)
+        validation = (val_labels, load_logits(o.val_logits, val_labels))
+        inputs.update(val_labels=o.val_labels, val_logits=o.val_logits)
 
-    config = TrainConfig(
-        epochs=int(resolved["epochs"]),
-        batch_size=int(resolved["batch_size"]),
-        lr0=float(resolved["lr0"]),
-        momentum=float(resolved["momentum"]),
-        seed=int(resolved["seed"]),
-        gamma_pos=float(resolved["gamma_pos"]),
-        gamma_neg=float(resolved["gamma_neg"]),
-        delta=float(resolved["delta"]),
-        eps=float(resolved["eps"]),
-        gcn_dims=_parse_dims(resolved["gcn_dims"]),
-        leaky_slope=float(resolved["leaky_slope"]),
-        final_nonlinearity=bool(resolved["final_nonlinearity"]),
-        reweight_mode=resolved["reweight_mode"],
-    )
-    model, weights, cond, history = train(labels, logits, config, validation)
+    config = _fill(TrainConfig, o)
+    model, weights, _, history = train(labels, logits, config, validation)
 
-    names = labels.class_names
-    model_path = out / "model.txt"
-    save_model(model, model_path)
-    prior_paths, _ = _write_prior_files(out, labels)
-    alpha_path = out / "alpha.csv"
-    _write_alpha_csv(alpha_path, weights, names)
-
-    history_path = out / "history.csv"
-    lines = ["epoch,loss,lr,val_mAP"]
-    for rec in history.records:
-        val = "" if rec.val_map is None else repr(rec.val_map)
-        lines.append(f"{rec.epoch},{rec.mean_loss!r},{rec.lr!r},{val}")
-    history_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    outputs = [model_path.name, alpha_path.name, history_path.name]
-    outputs += [p.name for p in prior_paths]
+    save_model(model, out / "model.txt")
+    outputs, _ = _write_prior_files(out, labels)
+    outputs += [_write_alpha(out, weights, labels.class_names), "model.txt", "history.csv"]
+    write_table(out / "history.csv", ("epoch", "loss", "lr", "val_mAP"), (
+        (rec.epoch, rec.mean_loss, rec.lr, "" if rec.val_map is None else rec.val_map)
+        for rec in history.records
+    ))
     _write_manifest(out, "train", resolved, inputs, outputs)
     last = history.records[-1]
     msg = f"trained {config.epochs} epochs, final mean loss {last.mean_loss:.6g}"
@@ -385,29 +386,10 @@ def cmd_train(args) -> int:
     return 0
 
 
-_EVAL_DEFAULTS = {
-    "labels": None,
-    "logits": None,
-    "model": None,
-    "cond_prob": None,
-    "threshold": 0.5,
-    "topk": None,
-    "condprob_k": 3,
-    "refined_out": None,
-    "seed": 0,
-    "threads": 1,
-    "out_dir": ".",
-}
-
-
 def _metrics_block(report, names) -> dict:
     per_class = [
-        {
-            "class": name,
-            "ap": float(report.per_class_ap[j]),
-            "excluded": j in report.excluded_classes,
-        }
-        for j, name in enumerate(names)
+        {"class": name, "ap": float(ap), "excluded": j in report.excluded_classes}
+        for j, (name, ap) in enumerate(zip(names, report.per_class_ap))
     ]
     return {
         "per_class_ap": [float(v) for v in report.per_class_ap],
@@ -426,19 +408,18 @@ def _metrics_block(report, names) -> dict:
 
 
 def cmd_eval(args) -> int:
-    resolved = _resolve(args, _EVAL_DEFAULTS)
+    resolved, o = _resolve(args)
     _require(resolved, "labels", "logits")
-    if (resolved["model"] is None) != (resolved["cond_prob"] is None):
+    if (o.model is None) != (o.cond_prob is None):
         raise ValidationError("--model and --cond-prob must be given together")
-    out = _out_dir(resolved)
+    if o.refined_out is not None and o.model is None:
+        raise ValidationError("--refined-out needs --model (and --cond-prob)")
+    out = _out_dir(o.out_dir)
 
-    labels = load_labels(resolved["labels"])
-    logits = load_logits(resolved["logits"], labels)
-    inputs = {"labels": resolved["labels"], "logits": resolved["logits"]}
-
-    topk = resolved["topk"]
-    threshold = None if topk is not None else float(resolved["threshold"])
-    kwargs = {"threshold": threshold, "top_k": int(topk) if topk is not None else None}
+    labels = load_labels(o.labels)
+    logits = load_logits(o.logits, labels)
+    inputs = {"labels": o.labels, "logits": o.logits}
+    kwargs = {"threshold": None if o.topk is not None else o.threshold, "top_k": o.topk}
 
     report = {
         "tool": _TOOL,
@@ -452,40 +433,25 @@ def cmd_eval(args) -> int:
     }
     outputs = ["report.json"]
 
-    if resolved["model"] is not None:
-        model = load_model(resolved["model"])
-        cond = _load_cond_prob(resolved["cond_prob"])
-        if cond.n_classes != labels.n_classes:
-            raise ValidationError("conditional-probability matrix class count mismatch")
-        inputs["model"] = resolved["model"]
-        inputs["cond_prob"] = resolved["cond_prob"]
-        refined, _ = gcn_forward(model, cond, logits.values)
+    if o.model is not None:
+        cond, refined = _refine(o, labels, logits, inputs)
         refined_report = evaluate(refined, labels, **kwargs)
         report["refined"] = _metrics_block(refined_report, labels.class_names)
         report["delta_map"] = report["refined"]["map"] - report["initial"]["map"]
 
-        analysis = delta_ap_analysis(
-            np.array(report["initial"]["per_class_ap"]),
-            np.array(report["refined"]["per_class_ap"]),
-            cond,
-            k=int(resolved["condprob_k"]),
-            exclude=refined_report.excluded_classes,
-        )
-        per_class_path = out / "per_class.csv"
-        k = int(resolved["condprob_k"])
-        lines = [f"class,top{k}_mean_cond_prob,ap_before,ap_after,delta_ap"]
-        for pos, j in enumerate(analysis.class_indices):
-            lines.append(
-                f"{labels.class_names[j]},{float(analysis.top_k_mean[pos])!r},"
-                f"{report['initial']['per_class_ap'][j]!r},"
-                f"{report['refined']['per_class_ap'][j]!r},"
-                f"{float(analysis.delta_ap[pos])!r}"
-            )
-        per_class_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        outputs.append(per_class_path.name)
+        ap_before = report["initial"]["per_class_ap"]
+        ap_after = report["refined"]["per_class_ap"]
+        analysis = delta_ap_analysis(np.array(ap_before), np.array(ap_after), cond,
+                                     k=o.condprob_k, exclude=refined_report.excluded_classes)
+        header = ("class", f"top{o.condprob_k}_mean_cond_prob", "ap_before", "ap_after", "delta_ap")
+        columns = zip(analysis.class_indices, analysis.top_k_mean.tolist(),
+                      analysis.delta_ap.tolist())
+        rows = ((labels.class_names[j], x, ap_before[j], ap_after[j], d) for j, x, d in columns)
+        write_table(out / "per_class.csv", header, rows)
+        outputs.append("per_class.csv")
 
-        if resolved["refined_out"] is not None:
-            refined_path = out / resolved["refined_out"]
+        if o.refined_out is not None:
+            refined_path = out / o.refined_out
             write_logits(LogitMatrix(refined), labels, refined_path)
             outputs.append(refined_path.name)
 
@@ -500,70 +466,38 @@ def cmd_eval(args) -> int:
     return 0
 
 
-_ANALYZE_DEFAULTS = {
-    "labels": None,
-    "cond_prob": None,
-    "before": None,
-    "after": None,
-    "model": None,
-    "logits": None,
-    "k": 3,
-    "bin_size": 0.02,
-    "seed": 0,
-    "threads": 1,
-    "out_dir": ".",
-}
-
-
 def cmd_analyze(args) -> int:
-    resolved = _resolve(args, _ANALYZE_DEFAULTS)
+    resolved, o = _resolve(args)
     _require(resolved, "labels", "cond_prob")
-    out = _out_dir(resolved)
+    out = _out_dir(o.out_dir)
 
-    labels = load_labels(resolved["labels"])
-    cond = _load_cond_prob(resolved["cond_prob"])
-    if cond.n_classes != labels.n_classes:
-        raise ValidationError("conditional-probability matrix class count mismatch")
-    inputs = {"labels": resolved["labels"], "cond_prob": resolved["cond_prob"]}
-
-    if resolved["before"] is not None and resolved["after"] is not None:
-        before = load_logits(resolved["before"], labels).values
-        after = load_logits(resolved["after"], labels).values
-        inputs["before"] = resolved["before"]
-        inputs["after"] = resolved["after"]
-    elif resolved["model"] is not None and resolved["logits"] is not None:
-        logits = load_logits(resolved["logits"], labels)
-        model = load_model(resolved["model"])
+    labels = load_labels(o.labels)
+    inputs = {"labels": o.labels, "cond_prob": o.cond_prob}
+    if o.before is not None and o.after is not None:
+        cond = _load_cond_prob(o.cond_prob, labels)
+        before = load_logits(o.before, labels).values
+        after = load_logits(o.after, labels).values
+        inputs.update(before=o.before, after=o.after)
+    elif o.model is not None and o.logits is not None:
+        logits = load_logits(o.logits, labels)
+        cond, after = _refine(o, labels, logits, inputs)
         before = logits.values
-        after, _ = gcn_forward(model, cond, before)
-        inputs["model"] = resolved["model"]
-        inputs["logits"] = resolved["logits"]
+        inputs["logits"] = o.logits
     else:
-        raise ValidationError(
-            "need either --before and --after, or --model and --logits"
-        )
+        raise ValidationError("need either --before and --after, or --model and --logits")
 
     ap_before, excluded_b = per_class_average_precision(before, labels.values)
     ap_after, excluded_a = per_class_average_precision(after, labels.values)
     excluded = sorted(set(excluded_b) | set(excluded_a))
     result = delta_ap_analysis(
-        ap_before,
-        ap_after,
-        cond,
-        k=int(resolved["k"]),
-        bin_size=float(resolved["bin_size"]),
-        exclude=excluded,
+        ap_before, ap_after, cond, k=o.k, bin_size=o.bin_size, exclude=excluded
     )
 
-    bins_path = out / "bins.csv"
-    lines = ["bin_low,bin_high,mean_delta_ap,class_count"]
-    for b in result.bins:
-        lines.append(f"{b.bin_low!r},{b.bin_high!r},{b.mean_delta_ap!r},{b.class_count}")
     status = "defined" if result.spearman_defined else "degenerate"
-    lines.append(
-        f"# spearman={result.spearman!r} classes={len(result.class_indices)} {status}"
-    )
-    bins_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(b.bin_low, b.bin_high, b.mean_delta_ap, b.class_count) for b in result.bins]
+    rows.append((f"# spearman={result.spearman!r} classes={len(result.class_indices)} {status}",))
+    bins_path = out / "bins.csv"
+    write_table(bins_path, ("bin_low", "bin_high", "mean_delta_ap", "class_count"), rows)
     _write_manifest(out, "analyze", resolved, inputs, [bins_path.name])
     print(f"wrote {bins_path} (spearman {result.spearman:.4f}, {status})")
     return 0
@@ -573,13 +507,6 @@ def cmd_analyze(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--seed", type=int, help="base seed; all stages derive from it")
-    sub.add_argument("--threads", type=int, help="worker-thread hint (execution is deterministic regardless)")
-    sub.add_argument("--out-dir", dest="out_dir", help="output directory")
-    sub.add_argument("--config", help="JSON config file or a previously written manifest")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog=_TOOL,
@@ -587,92 +514,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{_TOOL} {__version__}")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = subs.add_parser("synth", help="generate a synthetic correlated dataset")
-    p.add_argument("--n-classes", dest="n_classes", type=int, help="number of classes")
-    p.add_argument("--n-samples", dest="n_samples", type=int, help="number of samples")
-    p.add_argument("--clusters", help="co-occurring class-index groups, e.g. '0,1,2;3,4'")
-    p.add_argument("--within-cluster-prob", dest="within_cluster_prob", type=float,
-                   help="co-activation probability of non-chosen cluster members")
-    p.add_argument("--base-prob", dest="base_prob", type=float,
-                   help="activation probability of clusters and free classes")
-    p.add_argument("--cluster-probs", dest="cluster_probs",
-                   help="per-cluster activation probabilities, comma separated")
-    p.add_argument("--signal-strength", dest="signal_strength",
-                   help="scalar or per-class comma-separated logit separation")
-    p.add_argument("--noise-std", dest="noise_std", type=float, help="logit noise std")
-    _add_common(p)
-    p.set_defaults(func=cmd_synth)
-
-    p = subs.add_parser("prior", help="co-occurrence counts, conditional probabilities, alphas")
-    p.add_argument("--labels", help="label CSV path")
-    p.add_argument("--reweight-mode", dest="reweight_mode",
-                   choices=["frequency", "literal", "none"])
-    _add_common(p)
-    p.set_defaults(func=cmd_prior)
-
-    p = subs.add_parser("train", help="fit the refinement head")
-    p.add_argument("--labels", help="training label CSV")
-    p.add_argument("--logits", help="training logits CSV")
-    p.add_argument("--val-labels", dest="val_labels", help="validation label CSV")
-    p.add_argument("--val-logits", dest="val_logits", help="validation logits CSV")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--lr0", type=float, help="initial learning rate (cosine-annealed per epoch)")
-    p.add_argument("--momentum", type=float, help="classic momentum coefficient")
-    p.add_argument("--gamma-pos", dest="gamma_pos", type=float, help="positive focusing exponent")
-    p.add_argument("--gamma-neg", dest="gamma_neg", type=float, help="negative focusing exponent")
-    p.add_argument("--delta", type=float, help="negative probability shift")
-    p.add_argument("--eps", type=float, help="log clamp inside the loss")
-    p.add_argument("--gcn-dims", dest="gcn_dims", help="layer widths, e.g. '1,64,64,1'")
-    p.add_argument("--leaky-slope", dest="leaky_slope", type=float)
-    p.add_argument("--final-nonlinearity", dest="final_nonlinearity",
-                   action=argparse.BooleanOptionalAction, default=None,
-                   help="apply the nonlinearity on the last layer too")
-    p.add_argument("--reweight-mode", dest="reweight_mode",
-                   choices=["frequency", "literal", "none"])
-    _add_common(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("eval", help="evaluate raw and optionally refined logits")
-    p.add_argument("--labels", help="label CSV path")
-    p.add_argument("--logits", help="logits CSV path")
-    p.add_argument("--model", help="model file; requires --cond-prob")
-    p.add_argument("--cond-prob", dest="cond_prob", help="A.csv written by prior/train")
-    p.add_argument("--threshold", type=float, help="sigmoid probability threshold for P/R/F1")
-    p.add_argument("--topk", type=int,
-                   help="predict the k best classes per sample instead of thresholding")
-    p.add_argument("--condprob-k", dest="condprob_k", type=int,
-                   help="k for the per-class co-occurrence strength column")
-    p.add_argument("--refined-out", dest="refined_out",
-                   help="also write refined logits CSV under this name")
-    _add_common(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = subs.add_parser("analyze", help="AP improvement vs. co-occurrence strength")
-    p.add_argument("--labels", help="label CSV path")
-    p.add_argument("--cond-prob", dest="cond_prob", help="A.csv written by prior/train")
-    p.add_argument("--before", help="scores CSV before refinement")
-    p.add_argument("--after", help="scores CSV after refinement")
-    p.add_argument("--model", help="alternative to --before/--after: refine --logits with this model")
-    p.add_argument("--logits", help="logits CSV for --model mode")
-    p.add_argument("--k", type=int, help="top-k conditional probabilities per class")
-    p.add_argument("--bin-size", dest="bin_size", type=float)
-    _add_common(p)
-    p.set_defaults(func=cmd_analyze)
-
+    for subcommand, (help_text, _) in _SUBCOMMANDS.items():
+        p = subs.add_parser(subcommand, help=help_text)
+        for opt in _options(subcommand).values():
+            if opt.type is bool:
+                p.add_argument(_flag(opt.name), action=argparse.BooleanOptionalAction,
+                               help=opt.help)
+            else:
+                # list-valued options keep their text until _resolve parses them
+                p.add_argument(_flag(opt.name), help=opt.help, choices=opt.choices or None,
+                               type=opt.type if opt.type in (int, float) else None)
+        p.add_argument("--config", help="JSON config file or a previously written manifest")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
-    except ValidationError as exc:
-        print(f"{_TOOL}: error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+        # looked up at call time, so a wrapper set on this module takes effect
+        return globals()[f"cmd_{args.subcommand}"](args)
+    except (ValidationError, OSError) as exc:
         print(f"{_TOOL}: error: {exc}", file=sys.stderr)
         return 1
     except NumericError as exc:

@@ -267,12 +267,22 @@ def load_logits(path, labels: LabelMatrix) -> LogitMatrix:
     return LogitMatrix(rows)
 
 
+def write_table(path, header, rows) -> None:
+    """Write a CSV table: a header line, then one line per row of cells.
+
+    Cells are written with ``str``, so Python floats keep their shortest
+    round-trip repr; pass NumPy values through ``tolist()`` or ``float``
+    first. LF line endings, trailing newline.
+    """
+    lines = [",".join(header)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def write_labels(labels: LabelMatrix, path) -> None:
     """Write a label CSV (LF line endings, trailing newline)."""
-    lines = ["sample_id," + ",".join(labels.class_names)]
-    for sid, row in zip(labels.sample_ids, labels.values):
-        lines.append(sid + "," + ",".join(str(int(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ((sid, *row.tolist()) for sid, row in zip(labels.sample_ids, labels.values))
+    write_table(path, ("sample_id", *labels.class_names), rows)
 
 
 def write_logits(logits: LogitMatrix, labels: LabelMatrix, path) -> None:
@@ -283,10 +293,8 @@ def write_logits(logits: LogitMatrix, labels: LabelMatrix, path) -> None:
     """
     if logits.values.shape != labels.values.shape:
         raise ValidationError("logits shape does not match labels")
-    lines = ["sample_id," + ",".join(labels.class_names)]
-    for sid, row in zip(labels.sample_ids, logits.values):
-        lines.append(sid + "," + ",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = ((sid, *row.tolist()) for sid, row in zip(labels.sample_ids, logits.values))
+    write_table(path, ("sample_id", *labels.class_names), rows)
 
 
 def synth_generate(spec: SyntheticSpec) -> tuple[LabelMatrix, LogitMatrix]:

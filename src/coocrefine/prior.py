@@ -18,7 +18,7 @@ from ._arrays import frozen_array
 from .data import LabelMatrix
 from .errors import ValidationError
 
-REWEIGHT_MODES = ("frequency", "literal", "none")
+REWEIGHT_MODES = ("frequency", "none")
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,8 @@ class CondProbMatrix:
         probs = frozen_array(self.probs, np.float64)
         if probs.ndim != 2 or probs.shape[0] != probs.shape[1]:
             raise ValidationError("conditional probabilities must be square")
+        if not np.isfinite(probs).all():
+            raise ValidationError("conditional probabilities must be finite")
         if (probs < 0).any() or (probs > 1).any():
             raise ValidationError("conditional probabilities must lie in [0, 1]")
         if not np.allclose(probs.diagonal(), 1.0):
@@ -80,8 +82,7 @@ class ReweightVector:
     """Per-class multiplicative loss weights.
 
     ``frequency`` mode weights a class by the inverse of its share of the
-    total class-frequency mass, ``literal`` assigns every class the class
-    count N, and ``none`` assigns 1 everywhere.
+    total class-frequency mass, and ``none`` assigns 1 everywhere.
     """
 
     alphas: np.ndarray              # (N,) positive finite float64
@@ -95,8 +96,8 @@ class ReweightVector:
             raise ValidationError("alphas must be positive and finite")
         if self.mode not in REWEIGHT_MODES:
             raise ValidationError(f"unknown reweight mode '{self.mode}'")
-        if self.mode in ("literal", "none") and not np.all(alphas == alphas[0]):
-            raise ValidationError(f"{self.mode} mode requires equal alphas")
+        if self.mode == "none" and not np.all(alphas == alphas[0]):
+            raise ValidationError("none mode requires equal alphas")
         object.__setattr__(self, "alphas", alphas)
 
     @property
@@ -138,19 +139,14 @@ def reweighting(cooc: CoocMatrix, mode: str = "frequency") -> ReweightVector:
     frequency: alpha_j = (sum_k c_kk) / max(c_jj, 1), i.e. the inverse of
     class j's relative frequency share; rarer classes get larger weights.
     Zero counts are clamped to 1, and an all-zero diagonal degrades to
-    uniform weights of 1. literal: alpha_j = N for every class (the
-    normalized-share reading with every self-probability equal to 1).
-    none: alpha_j = 1.
+    uniform weights of 1. none: alpha_j = 1.
     """
-    n = cooc.n_classes
     if mode == "frequency":
         diag = cooc.counts.diagonal().astype(np.float64)
         total = max(float(diag.sum()), 1.0)
         alphas = total / np.maximum(diag, 1.0)
-    elif mode == "literal":
-        alphas = np.full(n, float(n))
     elif mode == "none":
-        alphas = np.ones(n)
+        alphas = np.ones(cooc.n_classes)
     else:
         raise ValidationError(f"unknown reweight mode '{mode}'")
     return ReweightVector(alphas, mode)

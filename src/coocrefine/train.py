@@ -18,7 +18,7 @@ accumulation uses fixed-order reductions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .gcn import GcnModel, gcn_backward, gcn_forward, init_model, with_weights
 from .loss import RaslParams, rasl_grad, rasl_loss
 from .metrics import per_class_average_precision
 from .prior import (
+    REWEIGHT_MODES,
     CondProbMatrix,
     ReweightVector,
     conditional_prob,
@@ -36,23 +37,28 @@ from .prior import (
 )
 
 
+def _hp(default, help: str, choices: tuple = ()):
+    """A hyperparameter; the CLI derives its ``train`` flag from it."""
+    return field(default=default, metadata={"help": help, "choices": choices})
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """Hyperparameters of one training run."""
 
-    epochs: int = 50
-    batch_size: int = 32
-    lr0: float = 0.002
-    momentum: float = 0.0
-    seed: int = 0
-    gamma_pos: float = 1.0
-    gamma_neg: float = 3.0
-    delta: float = 0.05
-    eps: float = 1e-8
-    gcn_dims: tuple[int, ...] = (1, 64, 64, 1)
-    leaky_slope: float = 0.01
-    final_nonlinearity: bool = False
-    reweight_mode: str = "frequency"
+    epochs: int = _hp(50, "passes over the training set")
+    batch_size: int = _hp(32, "samples per SGD step")
+    lr0: float = _hp(0.002, "initial learning rate (cosine-annealed per epoch)")
+    momentum: float = _hp(0.0, "classic momentum coefficient")
+    seed: int = _hp(0, "base seed; all stages derive from it")
+    gamma_pos: float = _hp(1.0, "positive focusing exponent")
+    gamma_neg: float = _hp(3.0, "negative focusing exponent")
+    delta: float = _hp(0.05, "negative probability shift")
+    eps: float = _hp(1e-8, "log clamp inside the loss")
+    gcn_dims: tuple[int, ...] = _hp((1, 64, 64, 1), "layer widths, e.g. '1,64,64,1'")
+    leaky_slope: float = _hp(0.01, "LeakyReLU negative slope")
+    final_nonlinearity: bool = _hp(False, "apply the nonlinearity on the last layer too")
+    reweight_mode: str = _hp("frequency", "per-class loss weights", REWEIGHT_MODES)
 
     def __post_init__(self):
         object.__setattr__(self, "gcn_dims", tuple(int(d) for d in self.gcn_dims))

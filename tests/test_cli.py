@@ -1,10 +1,14 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import coocrefine
+from coocrefine import init_model, save_model
 from coocrefine.cli import main
 
 LABELS_CSV = "sample_id,c0,c1,c2\na,1,1,0\nb,1,0,1\nc,0,0,1\n"
@@ -198,6 +202,16 @@ class TestTrainEvalAnalyze:
         ]) == 0
         assert (out / "bins.csv").read_bytes() == (run / "bins.csv").read_bytes()
 
+    def test_refined_out_needs_model(self, fixtures, capsys):
+        tmp_path, labels, logits = fixtures
+        rc = main([
+            "eval", "--labels", str(labels), "--logits", str(logits),
+            "--refined-out", "refined.csv", "--out-dir", str(tmp_path / "eval"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--refined-out" in err and "--model" in err
+
     def test_topk_eval(self, fixtures):
         tmp_path, labels, logits = fixtures
         out = tmp_path / "topk"
@@ -208,6 +222,31 @@ class TestTrainEvalAnalyze:
         report = json.loads((out / "report.json").read_text())
         assert report["initial"]["top_k"] == 2
         assert report["initial"]["threshold"] is None
+
+
+A_CSV_NAN = "class,c0,c1,c2\nc0,1.0,nan,0.5\nc1,1.0,1.0,0.0\nc2,0.5,0.0,1.0\n"
+# the fixture labels' A.csv with classes reversed, header and rows consistently
+A_CSV_REVERSED = "class,c2,c1,c0\nc2,1.0,0.0,0.5\nc1,0.0,1.0,1.0\nc0,0.5,0.5,1.0\n"
+
+
+class TestCondProbFile:
+    @pytest.mark.parametrize("content", [A_CSV_NAN, A_CSV_REVERSED], ids=["nan", "reversed"])
+    @pytest.mark.parametrize("mode", ["eval", "analyze-scores", "analyze-model"])
+    def test_rejected_with_exit_1(self, fixtures, capsys, content, mode):
+        tmp_path, labels, logits = fixtures
+        cond = tmp_path / "A.csv"
+        cond.write_text(content)
+        model = tmp_path / "model.txt"
+        save_model(init_model((1, 4, 1), 0.01, 0, False), model)
+        common = ["--labels", str(labels), "--cond-prob", str(cond), "--out-dir", str(tmp_path)]
+        if mode == "eval":
+            argv = ["eval", "--logits", str(logits), "--model", str(model)]
+        elif mode == "analyze-scores":
+            argv = ["analyze", "--before", str(logits), "--after", str(logits)]
+        else:
+            argv = ["analyze", "--logits", str(logits), "--model", str(model)]
+        assert main(argv + common) == 1
+        assert str(cond) in capsys.readouterr().err
 
 
 class TestConfigPrecedence:
@@ -241,6 +280,28 @@ class TestConfigPrecedence:
         assert main(["synth", "--config", str(manifest)]) == 0
         assert (out / "labels.csv").read_bytes() == first
 
+    def test_manifest_with_removed_threads_key_reruns(self, fixtures):
+        tmp_path, labels, _ = fixtures
+        out = tmp_path / "out"
+        assert main(["prior", "--labels", str(labels), "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "prior_manifest.json").read_text())
+        manifest["config"]["threads"] = 1           # as older versions wrote it
+        older = tmp_path / "older_manifest.json"
+        older.write_text(json.dumps(manifest))
+        rerun = tmp_path / "rerun"
+        assert main(["prior", "--config", str(older), "--out-dir", str(rerun)]) == 0
+        for name in ("C.csv", "A.csv", "alpha.csv"):
+            assert (rerun / name).read_bytes() == (out / name).read_bytes()
+
+    @pytest.mark.parametrize("subcommand", ["prior", "train"])
+    def test_removed_literal_mode_rejected(self, fixtures, capsys, subcommand):
+        tmp_path, labels, logits = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"reweight_mode": "literal", "labels": str(labels)}))
+        rc = main([subcommand, "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert "literal" in capsys.readouterr().err
+
     def test_missing_required_flag(self, tmp_path, capsys):
         rc = main(["prior", "--out-dir", str(tmp_path)])
         assert rc == 1
@@ -248,10 +309,13 @@ class TestConfigPrecedence:
 
 
 def test_module_entry_point_runs():
+    # the child process imports the package from where this process found it
+    env = {**os.environ, "PYTHONPATH": str(Path(coocrefine.__file__).parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "coocrefine", "--version"],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "coocrefine" in proc.stdout

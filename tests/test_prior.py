@@ -68,6 +68,11 @@ class TestConditionalProb:
         assert cond.probs[1].tolist() == [0.0, 1.0]
         assert cond.zero_count_classes == frozenset({1})
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            CondProbMatrix(np.array([[1.0, bad], [0.5, 1.0]]), frozenset())
+
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
         for _ in range(60):
@@ -108,10 +113,6 @@ class TestReweighting:
         cooc = CoocMatrix(np.diag([2, 1, 2]))
         assert reweighting(cooc, "frequency").alphas.tolist() == [2.5, 5.0, 2.5]
 
-    def test_literal_mode_is_class_count(self):
-        cooc = CoocMatrix(np.diag([2, 1, 2]))
-        assert reweighting(cooc, "literal").alphas.tolist() == [3.0, 3.0, 3.0]
-
     def test_zero_count_clamped(self):
         cooc = CoocMatrix(np.diag([0, 4]))
         assert reweighting(cooc, "frequency").alphas.tolist() == [4.0, 1.0]
@@ -136,7 +137,7 @@ class TestReweighting:
         with pytest.raises(ValidationError):
             ReweightVector(np.array([1.0, 0.0]), "frequency")
         with pytest.raises(ValidationError):
-            ReweightVector(np.array([1.0, 2.0]), "literal")
+            ReweightVector(np.array([1.0, 2.0]), "none")
 
 
 class TestTopKMeanCondProb:
