@@ -109,10 +109,11 @@ def cooccurrence(labels: LabelMatrix) -> CoocMatrix:
     """Count, for every class pair, the samples where both are present.
 
     Equals Y^T Y for the binary label matrix Y; the diagonal counts each
-    class's positive samples.
+    class's positive samples. The product runs in float64 BLAS, which
+    counts exactly while the sample count is below 2**53.
     """
-    y = labels.values.astype(np.int64)
-    return CoocMatrix(y.T @ y)
+    y = labels.values.astype(np.float64)
+    return CoocMatrix((y.T @ y).astype(np.int64))
 
 
 def conditional_prob(cooc: CoocMatrix) -> CondProbMatrix:

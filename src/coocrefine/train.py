@@ -164,8 +164,8 @@ def train(
         val_labels, val_logits = validation
         if val_labels.values.shape != val_logits.values.shape:
             raise ValidationError("validation labels and logits shapes differ")
-        if val_labels.n_classes != train_labels.n_classes:
-            raise ValidationError("validation class count differs from training")
+        if val_labels.class_names != train_labels.class_names:
+            raise ValidationError("validation class names differ from training")
 
     cooc = cooccurrence(train_labels)
     cond = conditional_prob(cooc)

@@ -1,8 +1,8 @@
 """Independent brute-force oracles and numeric helpers for the tests.
 
-Everything here is deliberately written as plain loops, separate from the
-library's vectorized code paths, so agreement between the two is
-meaningful.
+Everything here is deliberately written as plain loops or as the literal
+formula, separate from the library's vectorized code paths, so agreement
+between the two is meaningful.
 """
 
 import numpy as np
@@ -83,3 +83,32 @@ def gradient_close(analytic, numeric, rel_tol=1e-4, abs_tol=1e-7):
     numeric = np.asarray(numeric)
     scale = np.maximum(np.abs(analytic), np.abs(numeric))
     return np.all(np.abs(analytic - numeric) <= np.maximum(rel_tol * scale, abs_tol))
+
+
+def dense_gcn(weights, slope, final_nonlinearity, prop, h0, grad_refined):
+    """The head as written, ``H_l = act((P @ H_{l-1}) @ W_l)``, with its
+    reverse pass layer by layer; LeakyReLU's subgradient at 0 is 1.
+
+    Returns (refined, weight gradients, input gradient).
+    """
+    n_layers = len(weights)
+    h = h0[:, :, None]
+    propagated, pre_acts = [], []
+    for l, w in enumerate(weights):
+        m = np.matmul(prop, h)
+        z = m @ w
+        propagated.append(m)
+        pre_acts.append(z)
+        activated = l < n_layers - 1 or final_nonlinearity
+        h = np.where(z >= 0, z, slope * z) if activated else z
+    refined = h0 + h[:, :, 0]
+
+    g = grad_refined[:, :, None]
+    d_weights = [None] * n_layers
+    for l in range(n_layers - 1, -1, -1):
+        if l < n_layers - 1 or final_nonlinearity:
+            g = g * np.where(pre_acts[l] >= 0, 1.0, slope)
+        d_in, d_out = weights[l].shape
+        d_weights[l] = propagated[l].reshape(-1, d_in).T @ g.reshape(-1, d_out)
+        g = np.matmul(prop.T, g @ weights[l].T)
+    return refined, d_weights, g[:, :, 0] + grad_refined

@@ -180,6 +180,25 @@ class TestTrainEvalAnalyze:
             val = row.split(",")[3]
             assert val and 0.0 <= float(val) <= 1.0
 
+    def test_validation_class_names_must_match_training(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        main([
+            "synth", "--n-classes", "4", "--n-samples", "40", "--seed", "2",
+            "--out-dir", str(data),
+        ])
+        # the same rows with the class columns in reverse order
+        for name in ("labels.csv", "logits.csv"):
+            lines = [line.split(",") for line in (data / name).read_text().splitlines()]
+            reversed_csv = "\n".join(",".join(c[:1] + c[:0:-1]) for c in lines) + "\n"
+            (data / f"val_{name}").write_text(reversed_csv)
+        rc = main([
+            "train", "--labels", str(data / "labels.csv"), "--logits", str(data / "logits.csv"),
+            "--val-labels", str(data / "val_labels.csv"), "--val-logits", str(data / "val_logits.csv"),
+            "--epochs", "1", "--gcn-dims", "1,4,1", "--out-dir", str(tmp_path / "run"),
+        ])
+        assert rc == 1
+        assert "validation class names differ" in capsys.readouterr().err
+
     def test_eval_without_model_reports_initial_only(self, fixtures):
         tmp_path, labels, logits = fixtures
         out = tmp_path / "eval"

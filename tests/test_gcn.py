@@ -14,7 +14,7 @@ from coocrefine import (
 )
 from coocrefine.gcn import propagation_matrix, with_weights
 
-from oracles import central_difference, gradient_close
+from oracles import central_difference, dense_gcn, gradient_close
 
 
 def random_cond(rng, n):
@@ -159,11 +159,13 @@ class TestBackward:
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(10)
         checked = 0
-        while checked < 10:
+        # the last ten use a deeper head, to reach the generic path of layers >= 3
+        while checked < 20:
+            dims = (1, 4, 4, 1) if checked < 10 else (1, 3, 4, 5, 1)
             n = int(rng.integers(2, 7))
             batch = int(rng.integers(1, 4))
             cond = random_cond(rng, n)
-            model = init_model((1, 4, 4, 1), seed=int(rng.integers(0, 2**31)))
+            model = init_model(dims, seed=int(rng.integers(0, 2**31)))
             h0 = rng.normal(size=(batch, n))
             coeffs = rng.normal(size=(batch, n))
 
@@ -190,6 +192,38 @@ class TestBackward:
 
             numeric_input = central_difference(input_functional, h0, step=1e-3)
             assert gradient_close(grads.d_input, numeric_input)
+
+    @pytest.mark.parametrize(
+        "dims", [(1, 1), (1, 4, 1), (1, 5, 3, 1), (1, 4, 4, 1), (1, 3, 4, 5, 1)], ids=str
+    )
+    @pytest.mark.parametrize("slope", [0.01, 0.2])
+    @pytest.mark.parametrize("final", [False, True])
+    def test_matches_dense_oracle(self, dims, slope, final):
+        rng = np.random.default_rng(sum(dims) + int(final))
+        n, isolated = 6, 4
+        probs = random_cond(rng, n).probs.copy()
+        probs[isolated, :] = 0.0
+        probs[:, isolated] = 0.0
+        probs[isolated, isolated] = 1.0
+        cond = CondProbMatrix(probs, frozenset())
+        h0 = rng.normal(size=(5, n))
+        h0[1] = 0.0                     # P @ h0 is 0 on every node
+        h0[3, isolated] = 0.0           # and on the isolated node only
+        coeffs = rng.normal(size=h0.shape)
+        model = init_model(dims, leaky_slope=slope, seed=sum(dims), final_nonlinearity=final)
+
+        refined, cache = gcn_forward(model, cond, h0)
+        grads = gcn_backward(model, cond, cache, coeffs)
+        want_refined, want_dw, want_input = dense_gcn(
+            model.weights, slope, final, propagation_matrix(cond), h0, coeffs
+        )
+
+        def close(got, want):
+            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+        assert close(refined, want_refined)
+        assert all(close(g, w) for g, w in zip(grads.d_weights, want_dw, strict=True))
+        assert close(grads.d_input, want_input)
 
     def test_cache_mismatch_rejected(self):
         rng = np.random.default_rng(11)
