@@ -40,8 +40,11 @@ from . import __version__
 from .data import (
     LogitMatrix,
     SyntheticSpec,
+    finite_cells,
     load_labels,
     load_logits,
+    read_table,
+    read_text,
     synth_generate,
     write_labels,
     write_logits,
@@ -176,11 +179,8 @@ def _flag(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _load_config_file(path) -> dict:
-    path = Path(path)
     try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
+        raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -211,6 +211,11 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
             value = file_cfg.get(name, opt.default)
         if opt.choices and value not in opt.choices:
             raise ValidationError(f"invalid {_flag(name)} '{value}' (one of {opt.choices})")
+        # a boolean only for a bool option, and no fraction for an int one
+        if isinstance(value, bool) != (opt.type is bool) or (
+            opt.type is int and isinstance(value, float) and not value.is_integer()
+        ):
+            raise ValidationError(f"invalid {_flag(name)} '{value}'")
         try:
             typed[name] = None if value is None else opt.type(value)
         except (TypeError, ValueError):
@@ -284,28 +289,9 @@ def _load_cond_prob(path, labels) -> CondProbMatrix:
     Zero-count bookkeeping is not stored in the CSV; propagation only
     needs the matrix itself.
     """
-    path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise ValidationError(f"file not found: {path}") from None
     names = labels.class_names
-    if not lines or lines[0].split(",") != ["class", *names]:
-        raise ValidationError(f"{path}: header must be 'class' then the labels' class names")
-    n = len(names)
-    if len(lines) - 1 != n:
-        raise ValidationError(f"{path}: expected {n} rows, got {len(lines) - 1}")
-    matrix = np.empty((n, n), dtype=np.float64)
-    for i, (name, line) in enumerate(zip(names, lines[1:])):
-        cells = line.split(",")
-        if cells[0] != name:
-            raise ValidationError(f"{path}: line {i + 2}: expected class '{name}'")
-        if len(cells) != n + 1:
-            raise ValidationError(f"{path}: line {i + 2}: expected {n + 1} cells")
-        try:
-            matrix[i] = [float(c) for c in cells[1:]]
-        except ValueError:
-            raise ValidationError(f"{path}: line {i + 2}: invalid number") from None
+    cells = partial(finite_cells, what="conditional probability")
+    _, _, matrix = read_table(path, "class", cells, names, names)
     try:
         return CondProbMatrix(matrix, frozenset())
     except ValidationError as exc:

@@ -1,12 +1,17 @@
 """Label and logit matrices: file I/O, synthetic data, splitting, batching.
 
-CSV format (shared by labels and logits): UTF-8, comma separated, LF or
-CRLF line endings, no quoting (sample ids must not contain commas). The
-first header column is ``sample_id``; the remaining headers are class
-names. Label cells are ``0``/``1``; logit cells are decimal floats
-(scientific notation accepted). Files written by this module always end
-lines with LF, so a loaded file is reproduced byte for byte modulo the
-trailing newline.
+``read_text`` is the one place an input file is opened; a missing,
+unreadable or non-UTF-8 file raises ValidationError naming it.
+
+CSV grammar, shared by labels, logits and ``A.csv`` and parsed only by
+``read_table``: UTF-8, comma separated, LF or CRLF line endings, no
+quoting (keys must not contain commas). The first header column is the
+key column, ``sample_id`` (labels, logits) or ``class`` (``A.csv``); the
+remaining headers are class names, and every further line is one key and
+one cell per class. Label cells are ``0``/``1``; logit and probability
+cells are finite decimal floats (scientific notation accepted). Files
+written by this module always end lines with LF, so a loaded file is
+reproduced byte for byte modulo the trailing newline.
 
 All values are immutable after construction (arrays are marked
 read-only) and safe to share across threads.
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -155,28 +161,93 @@ class SyntheticSpec:
             raise ValidationError("noise_std must be positive")
 
 
-def _read_lines(path) -> list[str]:
+def read_text(path) -> str:
+    """The text of a UTF-8 input file: the one place an input file is opened.
+
+    A missing, unreadable or undecodable file raises ValidationError
+    naming it.
+    """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        return path.read_text(encoding="utf-8")
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    return text.splitlines()
 
 
-def _parse_header(line: str, path) -> list[str]:
-    header = line.split(",")
-    if header[0] != "sample_id":
-        raise ValidationError(
-            f"{path}: line 1: malformed header: first column must be sample_id"
-        )
+def binary_cells(texts: list[str]) -> np.ndarray:
+    """Label cells, each exactly ``0`` or ``1``, as a uint8 vector."""
+    if not set(texts) <= {"0", "1"}:
+        bad = next(t for t in texts if t not in ("0", "1"))
+        raise ValueError(f"label cell must be 0 or 1, got '{bad}'")
+    return np.frombuffer("".join(texts).encode("ascii"), np.uint8) - ord("0")
+
+
+def finite_cells(texts: list[str], what: str) -> np.ndarray:
+    """Decimal cells (scientific notation accepted) as a finite float64 vector."""
+    values = np.fromiter(map(float, texts), np.float64, len(texts))
+    if not np.isfinite(values).all():
+        raise ValueError(f"non-finite {what}")
+    return values
+
+
+def read_table(path, key: str, cell, names=None, keys=None):
+    """Parse a class-indexed CSV; the one parse loop for labels, logits and ``A.csv``.
+
+    The header is ``key`` (``sample_id`` or ``class``) then at least two
+    class names, equal to ``names`` if given. Every further line holds a
+    key and one cell per class; the keys are unique, and equal to ``keys``
+    in order if given. ``cell`` turns one row's cell texts into a vector,
+    raising ValueError on a cell it rejects. Returns the keys, the class
+    names and the (rows, classes) matrix; a fault raises ValidationError
+    naming the file and, for a row, its line.
+    """
+    lines = read_text(path).splitlines()
+    if not lines:
+        raise ValidationError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if header[0] != key:
+        raise ValidationError(f"{path}: line 1: malformed header: first column must be {key}")
     if len(header) < 3:
+        raise ValidationError(f"{path}: line 1: malformed header: need at least 2 class columns")
+    if names is not None and tuple(header[1:]) != tuple(names):
+        raise ValidationError(f"{path}: class header mismatch with labels")
+    n_rows = len(lines) - 1
+    if n_rows == 0 and keys is None:
+        raise ValidationError(f"{path}: no samples")
+    if keys is not None and n_rows != len(keys):
+        where = f"line {len(keys) + 2}: " if n_rows > len(keys) else ""
         raise ValidationError(
-            f"{path}: line 1: malformed header: need at least 2 class columns"
+            f"{path}: {where}shape mismatch: {n_rows} {key} rows, expected {len(keys)}"
         )
-    return header
+    seen: dict[str, None] = {}      # the keys in file order, when not given
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{path}: line {i + 2}: expected {len(header)} cells, got {len(cells)}"
+            )
+        if keys is None:
+            if cells[0] in seen:
+                raise ValidationError(f"{path}: line {i + 2}: duplicate {key} '{cells[0]}'")
+            seen[cells[0]] = None
+        elif cells[0] != keys[i]:
+            raise ValidationError(
+                f"{path}: line {i + 2}: {key} mismatch at row {i + 1}: "
+                f"expected '{keys[i]}', got '{cells[0]}'"
+            )
+        try:
+            row = cell(cells[1:])
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {i + 2}: {exc}") from None
+        # filled in place: stacking the row vectors instead kept freed heap resident
+        if i == 0:
+            values = np.empty((n_rows, row.size), row.dtype)
+        values[i] = row
+    return tuple(seen if keys is None else keys), tuple(header[1:]), values
 
 
 def load_labels(path) -> LabelMatrix:
@@ -185,40 +256,8 @@ def load_labels(path) -> LabelMatrix:
     Raises ValidationError naming the offending line for a malformed
     header, non-binary cell, ragged row, or duplicate sample_id.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise ValidationError(f"{path}: empty file")
-    header = _parse_header(lines[0], path)
-    n_cols = len(header)
-
-    ids: list[str] = []
-    seen: set[str] = set()
-    rows: list[list[int]] = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {n_cols} cells, got {len(cells)}"
-            )
-        sid = cells[0]
-        if sid in seen:
-            raise ValidationError(f"{path}: line {lineno}: duplicate sample_id '{sid}'")
-        seen.add(sid)
-        row = []
-        for col, cell in enumerate(cells[1:], start=1):
-            if cell == "0":
-                row.append(0)
-            elif cell == "1":
-                row.append(1)
-            else:
-                raise ValidationError(
-                    f"{path}: line {lineno}: label cell must be 0 or 1, got '{cell}'"
-                )
-        ids.append(sid)
-        rows.append(row)
-    if not rows:
-        raise ValidationError(f"{path}: no samples")
-    return LabelMatrix(np.array(rows, dtype=np.uint8), tuple(ids), tuple(header[1:]))
+    ids, names, values = read_table(path, "sample_id", binary_cells)
+    return LabelMatrix(values, ids, names)
 
 
 def load_logits(path, labels: LabelMatrix) -> LogitMatrix:
@@ -227,44 +266,9 @@ def load_logits(path, labels: LabelMatrix) -> LogitMatrix:
     The header must repeat the label file's class names and the
     sample_id column must match ``labels`` exactly, in order.
     """
-    lines = _read_lines(path)
-    if not lines:
-        raise ValidationError(f"{path}: empty file")
-    header = _parse_header(lines[0], path)
-    if tuple(header[1:]) != labels.class_names:
-        raise ValidationError(f"{path}: class header mismatch with labels")
-    n_cols = len(header)
-
-    data_lines = lines[1:]
-    if len(data_lines) != labels.n_samples:
-        raise ValidationError(
-            f"{path}: shape mismatch: {len(data_lines)} logit rows vs "
-            f"{labels.n_samples} label rows"
-        )
-    rows = np.empty((labels.n_samples, labels.n_classes), dtype=np.float64)
-    for row_idx, line in enumerate(data_lines):
-        lineno = row_idx + 2
-        cells = line.split(",")
-        if len(cells) != n_cols:
-            raise ValidationError(
-                f"{path}: line {lineno}: expected {n_cols} cells, got {len(cells)}"
-            )
-        if cells[0] != labels.sample_ids[row_idx]:
-            raise ValidationError(
-                f"{path}: sample_id mismatch at row {row_idx + 1}: "
-                f"expected '{labels.sample_ids[row_idx]}', got '{cells[0]}'"
-            )
-        for col, cell in enumerate(cells[1:]):
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValidationError(
-                    f"{path}: line {lineno}: invalid logit '{cell}'"
-                ) from None
-            if not math.isfinite(value):
-                raise ValidationError(f"{path}: line {lineno}: non-finite logit")
-            rows[row_idx, col] = value
-    return LogitMatrix(rows)
+    _, _, values = read_table(path, "sample_id", partial(finite_cells, what="logit"),
+                              labels.class_names, labels.sample_ids)
+    return LogitMatrix(values)
 
 
 def write_table(path, header, rows) -> None:

@@ -54,6 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from ._arrays import frozen_array
+from .data import read_text
 from .errors import NumericError, ValidationError
 from .prior import CondProbMatrix
 from .seeding import STREAM_INIT, rng_for
@@ -162,20 +163,9 @@ def init_model(
 
 
 def propagation_matrix(cond: CondProbMatrix) -> np.ndarray:
-    """Row-normalized propagation operator derived from the conditional matrix.
-
-    Each row is divided by its sum, so a node aggregates a weighted
-    average of its co-occurrence neighborhood and the operator's gain is
-    bounded by 1 regardless of how dense co-occurrence is. Without this,
-    stacking layers multiplies activations by the matrix's spectral
-    radius (easily 5-10 on strongly clustered data) per layer, saturating
-    every sigmoid at initialization and making training unrecoverable.
-    Identity rows (never-seen classes) are unchanged, so their locality
-    is preserved. Rows always sum to at least 1 (unit diagonal), so the
-    division is safe.
-    """
-    probs = cond.probs
-    return probs / probs.sum(axis=1, keepdims=True)
+    """The row-normalized operator P, computed once per ``cond`` (see
+    ``CondProbMatrix.propagation``)."""
+    return cond.propagation
 
 
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
@@ -365,62 +355,52 @@ def save_model(model: GcnModel, path) -> None:
 
 
 def load_model(path) -> GcnModel:
-    """Parse a ``coocrefine-gcn v1`` model file."""
-    path = Path(path)
+    """Parse a ``coocrefine-gcn v1`` model file.
+
+    A malformed file raises ValidationError naming it and the first bad line.
+    """
+    lines = read_text(path).splitlines()
+    lineno = 1
+
+    def tokens(keyword: str | None = None, count: int | None = None) -> list[str]:
+        """The next line's tokens after its leading ``keyword``, ``count`` of them if given."""
+        nonlocal lineno
+        lineno += 1
+        if lineno > len(lines):
+            raise ValueError("unexpected end of file")
+        toks = lines[lineno - 1].split()
+        if keyword is not None:
+            if toks[:1] != [keyword]:
+                raise ValueError(f"expected {keyword}")
+            toks = toks[1:]
+        if count is not None and len(toks) != count:
+            raise ValueError(f"expected {count} values, got {len(toks)}")
+        return toks
+
+    if lines[:1] != [MODEL_FORMAT_HEADER]:
+        raise ValidationError(f"{path}: bad model file: expected header '{MODEL_FORMAT_HEADER}'")
     try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except FileNotFoundError:
-        raise ValidationError(f"file not found: {path}") from None
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from None
-
-    def fail(msg: str):
-        raise ValidationError(f"{path}: bad model file: {msg}")
-
-    if not lines or lines[0] != MODEL_FORMAT_HEADER:
-        fail(f"expected header '{MODEL_FORMAT_HEADER}'")
+        dims = tuple(int(t) for t in tokens("layer_dims"))
+        if any(d < 1 for d in dims):
+            raise ValueError("layer widths must be positive")
+        slope = float(tokens("leaky_slope", 1)[0])
+        final = tokens("final_nonlinearity")[:1]
+        if final not in (["0"], ["1"]):
+            raise ValueError("expected final_nonlinearity 0|1")
+        weights = []
+        for l, shape in enumerate(zip(dims[:-1], dims[1:])):
+            if tuple(int(t) for t in tokens("weights", 3)) != (l, *shape):
+                raise ValueError(f"expected 'weights {l} {shape[0]} {shape[1]}'")
+            weights.append([[float(t) for t in tokens(count=shape[1])] for _ in range(shape[0])])
+        if lineno != len(lines):
+            lineno += 1
+            raise ValueError("trailing content after weight blocks")
+    except ValueError as exc:
+        raise ValidationError(f"{path}: bad model file: line {lineno}: {exc}") from None
     try:
-        dims_tok = lines[1].split()
-        if dims_tok[0] != "layer_dims":
-            fail("expected layer_dims")
-        dims = tuple(int(t) for t in dims_tok[1:])
-        slope_tok = lines[2].split()
-        if slope_tok[0] != "leaky_slope" or len(slope_tok) != 2:
-            fail("expected leaky_slope")
-        slope = float(slope_tok[1])
-        final_tok = lines[3].split()
-        if final_tok[0] != "final_nonlinearity" or final_tok[1] not in ("0", "1"):
-            fail("expected final_nonlinearity 0|1")
-        final = final_tok[1] == "1"
-    except (IndexError, ValueError):
-        raise ValidationError(f"{path}: bad model file: truncated or malformed header") from None
-
-    weights = []
-    cursor = 4
-    for l in range(len(dims) - 1):
-        if cursor >= len(lines):
-            fail(f"missing weights block {l}")
-        head = lines[cursor].split()
-        if len(head) != 4 or head[0] != "weights" or int(head[1]) != l:
-            fail(f"expected 'weights {l} <rows> <cols>' at line {cursor + 1}")
-        rows, cols = int(head[2]), int(head[3])
-        cursor += 1
-        block = np.empty((rows, cols), dtype=np.float64)
-        for r in range(rows):
-            if cursor >= len(lines):
-                fail(f"truncated weights block {l}")
-            cells = lines[cursor].split()
-            if len(cells) != cols:
-                fail(f"line {cursor + 1}: expected {cols} values, got {len(cells)}")
-            try:
-                block[r] = [float(c) for c in cells]
-            except ValueError:
-                fail(f"line {cursor + 1}: invalid float")
-            cursor += 1
-        weights.append(block)
-    if cursor != len(lines):
-        fail("trailing content after weight blocks")
-    return GcnModel(dims, tuple(weights), slope, final)
+        return GcnModel(dims, tuple(weights), slope, final == ["1"])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: bad model file: {exc}") from None
 
 
 def with_weights(model: GcnModel, weights) -> GcnModel:

@@ -11,6 +11,7 @@ All functions are pure; inputs and outputs are immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,24 @@ class CondProbMatrix:
     @property
     def n_classes(self) -> int:
         return self.probs.shape[0]
+
+    @cached_property
+    def propagation(self) -> np.ndarray:
+        """Row-normalized operator the refinement head propagates through.
+
+        Each row is divided by its sum, so a node aggregates a weighted
+        average of its co-occurrence neighborhood and the operator's gain is
+        bounded by 1 regardless of how dense co-occurrence is. Without this,
+        stacking layers multiplies activations by the matrix's spectral
+        radius (easily 5-10 on strongly clustered data) per layer, saturating
+        every sigmoid at initialization and making training unrecoverable.
+        Identity rows (never-seen classes) are unchanged, so their locality
+        is preserved. Rows always sum to at least 1 (unit diagonal), so the
+        division is safe. Computed on first use, then kept, read-only.
+        """
+        prop = self.probs / self.probs.sum(axis=1, keepdims=True)
+        prop.setflags(write=False)
+        return prop
 
 
 @dataclass(frozen=True)

@@ -243,15 +243,21 @@ class TestTrainEvalAnalyze:
         assert report["initial"]["threshold"] is None
 
 
-A_CSV_NAN = "class,c0,c1,c2\nc0,1.0,nan,0.5\nc1,1.0,1.0,0.0\nc2,0.5,0.0,1.0\n"
+A_CSV = "class,c0,c1,c2\nc0,1.0,0.5,0.5\nc1,1.0,1.0,0.0\nc2,0.5,0.0,1.0\n"
+A_CSV_NAN = A_CSV.replace("0.5,0.5", "nan,0.5")
 # the fixture labels' A.csv with classes reversed, header and rows consistently
 A_CSV_REVERSED = "class,c2,c1,c0\nc2,1.0,0.0,0.5\nc1,0.0,1.0,1.0\nc0,0.5,0.5,1.0\n"
 
 
 class TestCondProbFile:
-    @pytest.mark.parametrize("content", [A_CSV_NAN, A_CSV_REVERSED], ids=["nan", "reversed"])
+    @pytest.mark.parametrize("content, fragment", [
+        pytest.param(A_CSV_NAN, "line 2: non-finite", id="nan"),
+        pytest.param(A_CSV_REVERSED, "class header mismatch", id="reversed"),
+        pytest.param(A_CSV.replace("1.0,1.0,0.0", "1.0,1.0"), "line 3", id="ragged"),
+        pytest.param(A_CSV + "c3,0.0,0.0,1.0\n", "line 5", id="extra-row"),
+    ])
     @pytest.mark.parametrize("mode", ["eval", "analyze-scores", "analyze-model"])
-    def test_rejected_with_exit_1(self, fixtures, capsys, content, mode):
+    def test_rejected_with_exit_1(self, fixtures, capsys, content, fragment, mode):
         tmp_path, labels, logits = fixtures
         cond = tmp_path / "A.csv"
         cond.write_text(content)
@@ -265,7 +271,25 @@ class TestCondProbFile:
         else:
             argv = ["analyze", "--logits", str(logits), "--model", str(model)]
         assert main(argv + common) == 1
-        assert str(cond) in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(cond) in err and fragment in err
+
+
+@pytest.mark.parametrize("kind", ["labels", "logits", "cond_prob", "model", "config"])
+def test_undecodable_input_exits_1_naming_it(fixtures, capsys, kind):
+    tmp_path, labels, logits = fixtures
+    files = {"labels": labels, "logits": logits, "cond_prob": tmp_path / "A.csv",
+             "model": tmp_path / "model.txt", "config": tmp_path / "config.json"}
+    files["cond_prob"].write_text(A_CSV)
+    save_model(init_model((1, 4, 1), 0.01, 0, False), files["model"])
+    files["config"].write_text("{}")
+    files[kind].write_bytes(b"\xff" + files[kind].read_bytes())
+    argv = ["eval", "--out-dir", str(tmp_path / "eval")]
+    for name, path in files.items():
+        argv += [f"--{name.replace('_', '-')}", str(path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert str(files[kind]) in err and "not UTF-8" in err
 
 
 class TestConfigPrecedence:
@@ -320,6 +344,35 @@ class TestConfigPrecedence:
         rc = main([subcommand, "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert "literal" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("final_nonlinearity", "false"),
+        ("final_nonlinearity", 0),
+        ("final_nonlinearity", None),
+        ("epochs", 1.9),
+        ("epochs", True),
+        ("seed", 0.5),
+    ])
+    def test_config_value_of_wrong_kind_rejected(self, fixtures, capsys, key, value):
+        tmp_path, labels, logits = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 1, "gcn_dims": "1,4,1", key: value}))
+        rc = main(["train", "--labels", str(labels), "--logits", str(logits),
+                   "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"--{key.replace('_', '-')}" in capsys.readouterr().err
+
+    def test_config_integral_number_and_boolean_accepted(self, fixtures):
+        tmp_path, labels, logits = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"epochs": 2.0, "batch_size": 2, "gcn_dims": "1,4,1", "final_nonlinearity": True}
+        ))
+        out = tmp_path / "out"
+        assert main(["train", "--labels", str(labels), "--logits", str(logits),
+                     "--config", str(config), "--out-dir", str(out)]) == 0
+        assert "final_nonlinearity 1" in (out / "model.txt").read_text().splitlines()
+        assert len((out / "history.csv").read_text().splitlines()) == 3
 
     def test_missing_required_flag(self, tmp_path, capsys):
         rc = main(["prior", "--out-dir", str(tmp_path)])

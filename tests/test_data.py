@@ -102,6 +102,16 @@ class TestLoadLogits:
         with pytest.raises(ValidationError, match="shape mismatch"):
             load_logits(write(tmp_path, "g.csv", short), labels)
 
+    @pytest.mark.parametrize("logits_csv, fragment", [
+        ("sample_id,c0,c1\na,0.5,0.5\nb,0.5\nc,0.5,0.5\n", "line 3: expected 3 cells"),
+        ("sample_id,c0,c1\na,0.5,0.5\nb,0.5,0.5\nc,0.5,0.5\nd,0.5,0.5\n", "line 5"),
+        ("sample_id,c0,c1\na,0.5,0.5\nb,0.5,0.5\nc,0.5,x\n", "line 4"),
+    ], ids=["ragged", "extra-row", "bad-cell"])
+    def test_bad_row_names_line(self, tmp_path, logits_csv, fragment):
+        labels = load_labels(write(tmp_path, "l.csv", LABELS_CSV))
+        with pytest.raises(ValidationError, match=f"g.csv: {fragment}"):
+            load_logits(write(tmp_path, "g.csv", logits_csv), labels)
+
     def test_class_header_mismatch(self, tmp_path):
         labels = load_labels(write(tmp_path, "l.csv", LABELS_CSV))
         other = "sample_id,x,y\na,0.5,0.5\nb,0.5,0.5\nc,0.5,0.5\n"

@@ -61,6 +61,13 @@ class TestPropagationMatrix:
         cond = CondProbMatrix(np.eye(4), frozenset({2}))
         assert np.array_equal(propagation_matrix(cond), np.eye(4))
 
+    def test_computed_once_and_read_only(self):
+        cond = random_cond(np.random.default_rng(2), 5)
+        prop = propagation_matrix(cond)
+        assert propagation_matrix(cond) is prop
+        assert not prop.flags.writeable
+        assert np.array_equal(prop, cond.probs / cond.probs.sum(axis=1, keepdims=True))
+
 
 class TestForward:
     def test_zero_input_is_fixed_point(self):
@@ -268,6 +275,25 @@ class TestSerialization:
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(ValidationError):
+            load_model(path)
+
+    @pytest.mark.parametrize("lineno, text, fragment", [
+        (2, "layer_dims 1 -4 1", "line 2: layer widths must be positive"),
+        (3, "leaky_slope", "line 3: expected 1 values"),
+        (3, "leaky_slope 2.0", "leaky_slope must be in"),
+        (4, "final_nonlinearity 2", "line 4: expected final_nonlinearity"),
+        (5, "weights x 4 1", "line 5: invalid literal"),
+        (5, "weights 0 -1 1", "line 5: expected 'weights 0 1 4'"),
+        (5, "weights 0 1 5", "line 5: expected 'weights 0 1 4'"),
+        (6, "0.5 x 0.5 0.5", "line 6: could not convert"),
+    ])
+    def test_malformed_model_names_file_and_line(self, tmp_path, lineno, text, fragment):
+        path = tmp_path / "model.txt"
+        save_model(init_model((1, 4, 1), seed=3), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValidationError, match=f"model.txt: bad model file: {fragment}"):
             load_model(path)
 
     def test_missing_file_named(self, tmp_path):
