@@ -83,9 +83,19 @@ class Opt(NamedTuple):
     choices: tuple = ()
 
 
+def _wrong_kind(value, kind) -> bool:
+    """A boolean for a non-bool setting, a non-boolean for a bool one, or a
+    fraction for an int one."""
+    return isinstance(value, bool) != (kind is bool) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    )
+
+
 def _parse_list(value, kind) -> tuple:
     """Comma-separated text, or an already-parsed JSON list, as a tuple of ``kind``."""
     if isinstance(value, (list, tuple)):
+        if any(_wrong_kind(v, kind) for v in value):
+            raise ValueError(f"list elements must be of type {kind.__name__}")
         return tuple(kind(v) for v in value)
     return tuple(kind(v) for v in str(value).split(","))
 
@@ -211,10 +221,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
             value = file_cfg.get(name, opt.default)
         if opt.choices and value not in opt.choices:
             raise ValidationError(f"invalid {_flag(name)} '{value}' (one of {opt.choices})")
-        # a boolean only for a bool option, and no fraction for an int one
-        if isinstance(value, bool) != (opt.type is bool) or (
-            opt.type is int and isinstance(value, float) and not value.is_integer()
-        ):
+        if _wrong_kind(value, opt.type):
             raise ValidationError(f"invalid {_flag(name)} '{value}'")
         try:
             typed[name] = None if value is None else opt.type(value)

@@ -60,6 +60,8 @@ class LabelMatrix:
             raise ValidationError("duplicate sample_id")
         if len(self.class_names) != c:
             raise ValidationError("class_names length does not match column count")
+        if len(set(self.class_names)) != c:
+            raise ValidationError("duplicate class name")
 
     @property
     def n_samples(self) -> int:
@@ -213,7 +215,11 @@ def read_table(path, key: str, cell, names=None, keys=None):
         raise ValidationError(f"{path}: line 1: malformed header: first column must be {key}")
     if len(header) < 3:
         raise ValidationError(f"{path}: line 1: malformed header: need at least 2 class columns")
-    if names is not None and tuple(header[1:]) != tuple(names):
+    classes = header[1:]
+    if len(set(classes)) != len(classes):
+        repeated = next(name for i, name in enumerate(classes) if name in classes[:i])
+        raise ValidationError(f"{path}: line 1: repeated class name '{repeated}'")
+    if names is not None and tuple(classes) != tuple(names):
         raise ValidationError(f"{path}: class header mismatch with labels")
     n_rows = len(lines) - 1
     if n_rows == 0 and keys is None:
@@ -247,7 +253,7 @@ def read_table(path, key: str, cell, names=None, keys=None):
         if i == 0:
             values = np.empty((n_rows, row.size), row.dtype)
         values[i] = row
-    return tuple(seen if keys is None else keys), tuple(header[1:]), values
+    return tuple(seen if keys is None else keys), tuple(classes), values
 
 
 def load_labels(path) -> LabelMatrix:
@@ -276,11 +282,12 @@ def write_table(path, header, rows) -> None:
 
     Cells are written with ``str``, so Python floats keep their shortest
     round-trip repr; pass NumPy values through ``tolist()`` or ``float``
-    first. LF line endings, trailing newline.
+    first. LF line endings, trailing newline. Lines are written as they are
+    formatted, so the table is never held in memory as text.
     """
-    lines = [",".join(header)]
-    lines.extend(",".join(map(str, row)) for row in rows)
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 def write_labels(labels: LabelMatrix, path) -> None:

@@ -20,14 +20,41 @@ homogeneous, so per sample, with a = P h0 and w1 the single row of W_1:
 * layer 1: ``H_1 = leaky(a ⊗ w1) = a+ ⊗ u+ + a- ⊗ u-``, where
   ``a± = max/min(a, 0)``, ``u+ = leaky(w1)`` and ``u- = -leaky(-w1)``;
   H_1 has rank at most 2;
-* layer 2: ``P H_1 W_2 = q+ ⊗ (u+ W_2) + q- ⊗ (u- W_2)`` with ``q± = P a±``;
-* layers >= 3 propagate at width ``min(d_in, d_out)``: ``P (H W)`` when
-  ``d_out < d_in`` (the 64 -> 1 output layer), ``(P H) W`` otherwise.
+* layer 2: ``P H_1 W_2 = q+ ⊗ A + q- ⊗ B`` with ``q± = P a±``,
+  ``A = u+ W_2`` and ``B = u- W_2``.
 
-The backward pass uses the same factors. Results agree with the literal
-dense evaluation to within 1e-13 relative, not bit for bit, so model
-files and refined logits differ in their last digits from those of
-versions that evaluated the formula literally.
+A head of exactly three weight layers (the default 1-64-64-1) is then a
+1-d piecewise-linear function per node and sample, and is evaluated in
+that form; no array as wide as a hidden layer is built per node:
+
+* ``q+ >= 0 >= q-``, as P >= 0. Where ``q+ - q- > 0`` the sign of layer
+  2's unit k, ``q+ A_k + q- B_k``, depends only on
+  ``t = q+ / (q+ - q-)`` in [0, 1]; it changes at the breakpoint
+  ``t_k = B_k / (A_k + B_k)``, and is fixed when ``A_k + B_k == 0``.
+* The distinct breakpoints cut the line into sectors: the open interval
+  below each breakpoint, the breakpoint itself, and the interval above
+  the last. Within a sector every unit has one LeakyReLU slope, so the
+  sector's slope row D_s makes the head linear there:
+  ``H_2 W_3 = g = q+ c+_s + q- c-_s`` with ``c±_s = (D_s ⊙ A|B) W_3``.
+  The coefficient table also holds ``cw_s = (D_s ⊙ w1 W_2) W_3``, which
+  carries the input gradient where ``a == 0``.
+* The point ``q+ = q- = 0`` is a sector of its own, with every slope 1.
+* Tie rule: at ``t == t_k`` unit k's pre-activation is 0 and takes the
+  slope 1 of the ``z >= 0`` branch, which the breakpoint's own sector
+  gives it.
+* The output is ``P g``, through LeakyReLU if ``final_nonlinearity`` is
+  set. The backward pass reduces the weight gradients to per-sector sums
+  of ``back * q±`` with ``back = P^T dL/d(P g)``, and the input gradient
+  to one width-3 ``P^T`` product.
+
+Deeper or shallower heads run a layer loop on the same factors: layers
+>= 3 propagate at width ``min(d_in, d_out)``, ``P (H W)`` when
+``d_out < d_in`` and ``(P H) W`` otherwise.
+
+Both forms agree with the literal dense evaluation to within 1e-13
+relative, not bit for bit, so model files and refined logits differ in
+their last digits from those of versions that evaluated the formula
+literally or layer by layer.
 
 Gradients are computed analytically in reverse mode; the LeakyReLU
 subgradient at exactly 0 uses the positive-branch slope 1. Forward and
@@ -141,6 +168,50 @@ class GcnCache:
         return tuple(z.transpose(1, 0, 2) for z in (first,) + self.later_pre_acts)
 
 
+@dataclass(frozen=True)
+class HeadSectors:
+    """Sector table of a three-weight-layer head (see the module docstring).
+
+    Only breakpoints in [0, 1] cut sectors, as ``t`` never leaves that
+    range. Sector ``2i`` is the open interval of ``t`` below ``breaks[i]``,
+    sector ``2i + 1`` the point ``breaks[i]``, sector ``2m`` the interval
+    above the last of the m breakpoints, and sector ``2m + 1`` the point
+    ``q+ = q- = 0``.
+    """
+
+    factors: np.ndarray     # (3, d_2): rows A = u+ W_2, B = u- W_2, C = w1 W_2
+    breaks: np.ndarray      # (m,) distinct breakpoints B_k / (A_k + B_k) in [0, 1], ascending
+    slopes: np.ndarray      # (2m + 2, d_2): the slope row D_s of every sector
+    coeffs: np.ndarray      # (2m + 2, 3): c+_s, c-_s and cw_s of every sector
+
+
+@dataclass(frozen=True)
+class SectorCache:
+    """Forward intermediates of a three-weight-layer head, each ``(N, batch)``
+    except ``propagated`` (``(N, 2 batch)``) and the model's sector table.
+    ``pre_acts`` builds every layer's pre-activation from them on demand.
+    """
+
+    first_input: np.ndarray         # a = P h0
+    first_weights: np.ndarray       # w1, (d_1,)
+    propagated: np.ndarray          # [q+ q-] = P [a+ a-]
+    sector_ids: np.ndarray          # sector of each node and sample
+    last_pre_act: np.ndarray        # Z_3 = P g
+    sectors: HeadSectors
+
+    @property
+    def pre_acts(self) -> tuple[np.ndarray, ...]:
+        """Pre-activation Z_l of every layer, each ``(batch, N, d_l)``."""
+        q_pos, q_neg = np.hsplit(self.propagated, 2)
+        factors = self.sectors.factors
+        zs = (
+            self.first_input[:, :, None] * self.first_weights,
+            q_pos[:, :, None] * factors[0] + q_neg[:, :, None] * factors[1],
+            self.last_pre_act[:, :, None],
+        )
+        return tuple(z.transpose(1, 0, 2) for z in zs)
+
+
 def init_model(
     layer_dims,
     leaky_slope: float = 0.01,
@@ -201,6 +272,9 @@ def _split(a: np.ndarray) -> np.ndarray:
     return np.stack([np.maximum(a, 0.0), np.minimum(a, 0.0)], axis=-1)
 
 
+_SIGNS = np.array([[1.0], [-1.0]])
+
+
 def _first_layer(model: GcnModel) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``[u+; u-; w1]`` of layer 1 and the slopes ``[d+; d-]``.
 
@@ -209,40 +283,93 @@ def _first_layer(model: GcnModel) -> tuple[np.ndarray, np.ndarray]:
     """
     w1 = model.weights[0][0]
     if _activated(model, 0):
-        slopes = np.stack([_dleaky(w1, model.leaky_slope), _dleaky(-w1, model.leaky_slope)])
+        slopes = _dleaky(_SIGNS * w1, model.leaky_slope)
     else:
         slopes = np.ones((2, w1.size))
-    return np.vstack([w1 * slopes, w1]), slopes
+    return np.concatenate([w1 * slopes, model.weights[0]]), slopes
 
 
-def gcn_forward(
-    model: GcnModel, cond: CondProbMatrix, h0: np.ndarray
-) -> tuple[np.ndarray, GcnCache]:
-    """Refine a batch of per-class logits; returns (refined, cache).
-
-    ``h0`` has one row per sample and one column per class node. The
-    returned cache feeds ``gcn_backward``.
-    """
-    h0 = np.asarray(h0, dtype=np.float64)
-    if h0.ndim != 2:
-        raise ValidationError("h0 must be a 2-d (batch, classes) matrix")
-    n = cond.n_classes
-    if h0.shape[1] != n:
-        raise ValidationError(
-            f"h0 has {h0.shape[1]} classes but the propagation matrix has {n}"
-        )
-    if not np.isfinite(h0).all():
-        raise NumericError("non-finite value in input logits")
-
-    prop = propagation_matrix(cond)
+def _sector_table(model: GcnModel) -> HeadSectors:
+    """Breakpoints, slope rows and coefficients of a three-weight-layer head."""
     rows, _ = _first_layer(model)
-    w1 = model.weights[0][0]
     with np.errstate(over="ignore", invalid="ignore"):
-        a = prop @ h0.T
-        # |Z_1| = |a ⊗ w1| peaks at max|a| * max|w1|
-        peak = np.abs(a).max(initial=0.0) * np.abs(w1).max()
+        factors = rows @ model.weights[1]
+    if not np.isfinite(factors).all():
+        raise NumericError("non-finite value at layer 2")
+    pos, neg = factors[0], factors[1]
+    with np.errstate(over="ignore"):
+        total = pos + neg
+        t = np.divide(neg, total, out=np.full_like(neg, -1.0), where=total != 0)
+    inside = (0.0 <= t) & (t <= 1.0)
+    breaks = np.unique(t[inside])
+    at = 2 * np.searchsorted(breaks, t) + 1         # the sector of each unit's breakpoint
+    last = 2 * breaks.size
+    # unit k has slope 1 where q+ A_k + q- B_k >= 0: from its breakpoint on if
+    # A_k + B_k > 0, up to it if A_k + B_k < 0; with no breakpoint in [0, 1]
+    # it has the sign of -B_k throughout
+    lo = np.where(inside & (total > 0), at, np.where(inside | (neg <= 0), 0, last + 1))
+    hi = np.where(inside & (total < 0), at, last)
+    s = np.arange(last + 1)[:, None]
+    slopes = np.vstack([np.where((lo <= s) & (s <= hi), 1.0, model.leaky_slope),
+                        np.ones(neg.size)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = slopes @ (factors * model.weights[2][:, 0]).T
+    return HeadSectors(factors, breaks, slopes, coeffs)
+
+
+_BINS = 1024    # a power of 2, so t * _BINS is exact
+
+
+def _sector_ids(breaks: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """``searchsorted`` left plus right of every ``t`` in [0, 1] among ``breaks``.
+
+    Read off a table of ``_BINS`` equal bins of [0, 1]; only a ``t`` whose
+    bin holds a breakpoint is searched.
+    """
+    held = np.bincount((breaks * _BINS).astype(np.intp), minlength=_BINS + 1)
+    below = np.cumsum(held) - held
+    bins = (t * _BINS).astype(np.intp)
+    ids = 2 * below[bins]
+    search = held[bins] > 0
+    hit = t[search]
+    ids[search] = np.searchsorted(breaks, hit) + np.searchsorted(breaks, hit, "right")
+    return ids
+
+
+def _sector_forward(
+    model: GcnModel, prop: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, SectorCache]:
+    """Output ``(N, batch)`` and cache of a three-weight-layer head, from a = P h0."""
+    sectors = _sector_table(model)
+    batch = a.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = prop @ np.hstack([np.maximum(a, 0.0), np.minimum(a, 0.0)])
+        q_pos, q_neg = q[:, :batch], q[:, batch:]
+        top_pos, top_neg = q_pos.max(initial=0.0), -q_neg.min(initial=0.0)
+        # |Z_2| = |q+ A + q- B| is at most top+ max|A| + top- max|B|, and the
+        # denominator q+ - q- of t at most top+ + top-
+        peak = (top_pos * (1.0 + np.abs(sectors.factors[0]).max())
+                + top_neg * (1.0 + np.abs(sectors.factors[1]).max()))
     if not np.isfinite(peak):
-        raise NumericError("non-finite value at layer 1")
+        raise NumericError("non-finite value at layer 2")
+    span = q_pos - q_neg
+    zero = span == 0
+    t = q_pos / np.where(zero, 1.0, span)
+    ids = _sector_ids(sectors.breaks, t)
+    ids[zero] = len(sectors.coeffs) - 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = prop @ (q_pos * sectors.coeffs[ids, 0] + q_neg * sectors.coeffs[ids, 1])
+    if not np.isfinite(z).all():
+        raise NumericError("non-finite value at layer 3")
+    out = _leaky(z, model.leaky_slope) if model.final_nonlinearity else z
+    return out, SectorCache(a, model.weights[0][0], q, ids, z, sectors)
+
+
+def _layer_forward(
+    model: GcnModel, prop: np.ndarray, a: np.ndarray
+) -> tuple[np.ndarray, GcnCache]:
+    """Output ``(N, batch)`` and cache of a head of any depth, layer by layer."""
+    rows, _ = _first_layer(model)
     # the signal entering each layer is f @ u, with u None once it is dense
     f, u = _split(a), rows[:2]
     signals = []
@@ -265,14 +392,126 @@ def gcn_forward(
         u = None
     with np.errstate(over="ignore", invalid="ignore"):
         h = f if u is None else _mix(f, u)
-    refined = h0 + h[:, :, 0].T
-    return refined, GcnCache(a, w1, tuple(signals), tuple(pre_acts))
+    return h[:, :, 0], GcnCache(a, model.weights[0][0], tuple(signals), tuple(pre_acts))
+
+
+def gcn_forward(
+    model: GcnModel, cond: CondProbMatrix, h0: np.ndarray
+) -> tuple[np.ndarray, GcnCache | SectorCache]:
+    """Refine a batch of per-class logits; returns (refined, cache).
+
+    ``h0`` has one row per sample and one column per class node. The
+    returned cache feeds ``gcn_backward``. A head of three weight layers
+    runs in sector form, any other depth layer by layer.
+    """
+    h0 = np.asarray(h0, dtype=np.float64)
+    if h0.ndim != 2:
+        raise ValidationError("h0 must be a 2-d (batch, classes) matrix")
+    n = cond.n_classes
+    if h0.shape[1] != n:
+        raise ValidationError(
+            f"h0 has {h0.shape[1]} classes but the propagation matrix has {n}"
+        )
+    if not np.isfinite(h0).all():
+        raise NumericError("non-finite value in input logits")
+
+    prop = propagation_matrix(cond)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = prop @ h0.T
+        # |Z_1| = |a ⊗ w1| peaks at max|a| * max|w1|
+        peak = np.abs(a).max(initial=0.0) * np.abs(model.weights[0]).max()
+    if not np.isfinite(peak):
+        raise NumericError("non-finite value at layer 1")
+    forward = _sector_forward if model.n_layers == 3 else _layer_forward
+    h, cache = forward(model, prop, a)
+    return h0 + h.T, cache
+
+
+def _check_cache(model: GcnModel, cond: CondProbMatrix, cache, grad_refined: np.ndarray) -> None:
+    """Raise ValidationError unless ``cache`` is a forward cache of ``model``
+    on ``cond`` and ``grad_refined`` has its batch's shape."""
+    if isinstance(cache, SectorCache) != (model.n_layers == 3) or isinstance(cache, GcnCache) and (
+        len(cache.signals) != model.n_layers - 1 or len(cache.later_pre_acts) != model.n_layers - 1
+    ):
+        raise ValidationError("cache does not match the model's layer count")
+    n, batch = cache.first_input.shape
+    if grad_refined.shape != (batch, n):
+        raise ValidationError(
+            f"grad_refined shape {grad_refined.shape} does not match "
+            f"forward batch shape {(batch, n)}"
+        )
+    dims = model.layer_dims
+    if isinstance(cache, SectorCache):
+        shapes = [(cache.propagated, (n, 2 * batch)), (cache.sector_ids, (n, batch)),
+                  (cache.last_pre_act, (n, batch)), (cache.sectors.factors, (3, dims[2]))]
+    else:
+        shapes = [(m, (n, batch, 2 if l == 1 else dims[l]))
+                  for l, m in enumerate(cache.signals, start=1)]
+        shapes += [(z, (n, batch, dims[l + 1]))
+                   for l, z in enumerate(cache.later_pre_acts, start=1)]
+    if n != cond.n_classes or cache.first_weights.shape != (dims[1],) or any(
+        x.shape != shape for x, shape in shapes
+    ):
+        raise ValidationError("cache does not match the model/input shapes")
+
+
+def _sector_backward(model: GcnModel, prop_t: np.ndarray, cache: SectorCache, grad: np.ndarray):
+    """Weight gradients and ``[dL/da+, dL/da-, w1 path]`` per node, ``(N, batch, 3)``."""
+    sectors = cache.sectors
+    n, batch = cache.first_input.shape
+    if model.final_nonlinearity:
+        grad = grad * _dleaky(cache.last_pre_act, model.leaky_slope)
+    back = prop_t @ grad                            # dL/dg, g = H_2 W_3
+    # per sector, the sums of back * q+ and back * q-, each in a fixed order
+    ids = cache.sector_ids.ravel()
+    sums = np.stack([np.bincount(ids, (back * q).ravel(), len(sectors.coeffs))
+                     for q in np.hsplit(cache.propagated, 2)])
+    # dL/dA and dL/dB are W_3 times the slope-weighted sums per unit
+    r = sums @ sectors.slopes
+    d_ab = r * model.weights[2][:, 0]
+    rows, slopes = _first_layer(model)
+    d_w1 = (slopes * (d_ab @ model.weights[1].T)).sum(axis=0, keepdims=True)
+    d_w3 = (sectors.factors[:2] * r).sum(axis=0)[:, None]
+    g = prop_t @ (back[:, :, None] * sectors.coeffs[cache.sector_ids]).reshape(n, -1)
+    return [d_w1, rows[:2].T @ d_ab, d_w3], g.reshape(n, batch, 3)
+
+
+def _layer_backward(model: GcnModel, prop_t: np.ndarray, cache: GcnCache, grad: np.ndarray):
+    """Weight gradients and ``[dL/da+, dL/da-, w1 path]`` per node, ``(N, batch, 3)``."""
+    n_layers = model.n_layers
+    rows, slopes = _first_layer(model)
+    g = grad[:, :, None]
+    d_weights: list[np.ndarray | None] = [None] * n_layers
+    for l in range(n_layers - 1, 0, -1):
+        w = model.weights[l]
+        if _activated(model, l):
+            g = g * _dleaky(cache.later_pre_acts[l - 1], model.leaky_slope)
+        m = cache.signals[l - 1]
+        # layer 2 reads H_1 = F @ [u+; u-]; the extra row w1 gives dL/da at a == 0
+        v = w if l > 1 else rows @ w
+        if w.shape[1] < m.shape[-1]:
+            back = _propagate(prop_t, g)
+            d_v = _flat(m).T @ _flat(back)
+            g = _mix(back, v.T)
+        else:
+            d_v = _flat(m).T @ _flat(g)
+            g = _propagate(prop_t, _mix(g, v.T))
+        if l > 1:
+            d_weights[l] = d_v
+        else:
+            d_weights[1] = rows[:2].T @ d_v
+            d_u = d_v @ w.T
+    if n_layers == 1:           # the output is H_1 = F @ [u+; u-] itself
+        d_u = _flat(_split(cache.first_input)).T @ _flat(g)
+        g = _mix(g, rows.T)
+    d_weights[0] = (slopes * d_u).sum(axis=0, keepdims=True)
+    return d_weights, g
 
 
 def gcn_backward(
     model: GcnModel,
     cond: CondProbMatrix,
-    cache: GcnCache,
+    cache: GcnCache | SectorCache,
     grad_refined: np.ndarray,
 ) -> GcnGradients:
     """Exact reverse-mode gradients of the refined output.
@@ -283,55 +522,13 @@ def gcn_backward(
     Gradients over a batch are accumulated in fixed order, so results are
     reproducible.
     """
-    n_layers = model.n_layers
-    if len(cache.signals) != n_layers - 1 or len(cache.later_pre_acts) != n_layers - 1:
-        raise ValidationError("cache does not match the model's layer count")
     grad_refined = np.asarray(grad_refined, dtype=np.float64)
+    _check_cache(model, cond, cache, grad_refined)
     a = cache.first_input
-    if grad_refined.shape != a.shape[::-1]:
-        raise ValidationError(
-            f"grad_refined shape {grad_refined.shape} does not match "
-            f"forward batch shape {a.shape[::-1]}"
-        )
-    n, batch = a.shape
-    dims = model.layer_dims
-    if n != cond.n_classes or cache.first_weights.shape != (dims[1],):
-        raise ValidationError("cache does not match the model/input shapes")
-    for l in range(1, n_layers):
-        width = 2 if l == 1 else dims[l]
-        if cache.signals[l - 1].shape != (n, batch, width):
-            raise ValidationError("cache does not match the model/input shapes")
-        if cache.later_pre_acts[l - 1].shape != (n, batch, dims[l + 1]):
-            raise ValidationError("cache does not match the model/input shapes")
-
     prop_t = propagation_matrix(cond).T
-    rows, slopes = _first_layer(model)
-    g = grad_refined.T[:, :, None]
-    d_weights: list[np.ndarray | None] = [None] * n_layers
+    backward = _sector_backward if isinstance(cache, SectorCache) else _layer_backward
     with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(n_layers - 1, 0, -1):
-            w = model.weights[l]
-            if _activated(model, l):
-                g = g * _dleaky(cache.later_pre_acts[l - 1], model.leaky_slope)
-            m = cache.signals[l - 1]
-            # layer 2 reads H_1 = F @ [u+; u-]; the extra row w1 gives dL/da at a == 0
-            v = w if l > 1 else rows @ w
-            if w.shape[1] < m.shape[-1]:
-                back = _propagate(prop_t, g)
-                d_v = _flat(m).T @ _flat(back)
-                g = _mix(back, v.T)
-            else:
-                d_v = _flat(m).T @ _flat(g)
-                g = _propagate(prop_t, _mix(g, v.T))
-            if l > 1:
-                d_weights[l] = d_v
-            else:
-                d_weights[1] = rows[:2].T @ d_v
-                d_u = d_v @ w.T
-        if n_layers == 1:           # the output is H_1 = F @ [u+; u-] itself
-            d_u = _flat(_split(a)).T @ _flat(g)
-            g = _mix(g, rows.T)
-        d_weights[0] = (slopes * d_u).sum(axis=0, keepdims=True)
+        d_weights, g = backward(model, prop_t, cache, grad_refined.T)
         # dL/da reads the a+ column where a > 0, the a- one where a < 0 and
         # the w1 one where a == 0
         g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], g[:, :, 2]))

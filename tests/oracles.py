@@ -89,7 +89,8 @@ def dense_gcn(weights, slope, final_nonlinearity, prop, h0, grad_refined):
     """The head as written, ``H_l = act((P @ H_{l-1}) @ W_l)``, with its
     reverse pass layer by layer; LeakyReLU's subgradient at 0 is 1.
 
-    Returns (refined, weight gradients, input gradient).
+    Returns (refined, weight gradients, input gradient, pre-activations),
+    the pre-activations ``(batch, N, d_l)`` per layer.
     """
     n_layers = len(weights)
     h = h0[:, :, None]
@@ -111,4 +112,4 @@ def dense_gcn(weights, slope, final_nonlinearity, prop, h0, grad_refined):
         d_in, d_out = weights[l].shape
         d_weights[l] = propagated[l].reshape(-1, d_in).T @ g.reshape(-1, d_out)
         g = np.matmul(prop.T, g @ weights[l].T)
-    return refined, d_weights, g[:, :, 0] + grad_refined
+    return refined, d_weights, g[:, :, 0] + grad_refined, pre_acts

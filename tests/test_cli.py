@@ -65,6 +65,15 @@ class TestPrior:
         assert rc == 1
         assert "line 3" in capsys.readouterr().err
 
+    def test_repeated_class_name_rejected(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_text("sample_id,c0,c0,c2\na,1,0,1\nb,0,1,1\n")
+        out = tmp_path / "out"
+        rc = main(["prior", "--labels", str(bad), "--out-dir", str(out)])
+        assert rc == 1
+        assert "bad.csv: line 1: repeated class name 'c0'" in capsys.readouterr().err
+        assert not (out / "A.csv").exists()
+
     def test_unwritable_out_dir(self, fixtures, capsys):
         tmp_path, labels, _ = fixtures
         blocker = tmp_path / "blocker"
@@ -361,6 +370,25 @@ class TestConfigPrecedence:
                    "--config", str(config), "--out-dir", str(tmp_path / "out")])
         assert rc == 1
         assert f"--{key.replace('_', '-')}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("train", "gcn_dims", [1, 4.5, 1]),
+        ("train", "gcn_dims", [1, True, 1]),
+        ("synth", "clusters", [[0, 1.5]]),
+        ("synth", "signal_strength", [2.0] * 19 + [False]),
+    ])
+    def test_config_list_element_of_wrong_kind_rejected(
+        self, fixtures, capsys, subcommand, key, value
+    ):
+        tmp_path, labels, logits = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        inputs = ["--labels", str(labels), "--logits", str(logits), "--epochs", "1"]
+        rc = main([subcommand, *(inputs if subcommand == "train" else []),
+                   "--config", str(config), "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"--{key.replace('_', '-')}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_config_integral_number_and_boolean_accepted(self, fixtures):
         tmp_path, labels, logits = fixtures

@@ -53,6 +53,11 @@ class TestLoadLabels:
         with pytest.raises(ValidationError, match="duplicate sample_id 'a'"):
             load_labels(write(tmp_path, "l.csv", bad))
 
+    def test_repeated_class_name(self, tmp_path):
+        bad = "sample_id,c0,c1,c0\na,1,0,1\n"
+        with pytest.raises(ValidationError, match="l.csv: line 1: repeated class name 'c0'"):
+            load_labels(write(tmp_path, "l.csv", bad))
+
     def test_malformed_header(self, tmp_path):
         with pytest.raises(ValidationError, match="malformed header"):
             load_labels(write(tmp_path, "l.csv", "id,c0,c1\na,1,0\n"))
@@ -140,6 +145,10 @@ class TestTypes:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValidationError, match="duplicate"):
             LabelMatrix(np.array([[1, 0], [0, 1]]), ("a", "a"), ("c0", "c1"))
+
+    def test_duplicate_class_names_rejected(self):
+        with pytest.raises(ValidationError, match="duplicate class name"):
+            LabelMatrix(np.array([[1, 0]]), ("a",), ("c0", "c0"))
 
     def test_logits_must_be_finite(self):
         with pytest.raises(ValidationError, match="non-finite"):

@@ -12,7 +12,7 @@ from coocrefine import (
     load_model,
     save_model,
 )
-from coocrefine.gcn import propagation_matrix, with_weights
+from coocrefine.gcn import _sector_ids, propagation_matrix, with_weights
 
 from oracles import central_difference, dense_gcn, gradient_close
 
@@ -25,6 +25,25 @@ def random_cond(rng, n):
 
 def identity_cond(n):
     return CondProbMatrix(np.eye(n), frozenset())
+
+
+def close(got, want):
+    """Equal to 1e-12 of ``want``'s largest magnitude."""
+    return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def assert_matches_oracle(model, cond, h0, coeffs):
+    refined, cache = gcn_forward(model, cond, h0)
+    grads = gcn_backward(model, cond, cache, coeffs)
+    want_refined, want_dw, want_input, want_pre_acts = dense_gcn(
+        model.weights, model.leaky_slope, model.final_nonlinearity,
+        propagation_matrix(cond), h0, coeffs,
+    )
+    assert close(refined, want_refined)
+    assert all(close(g, w) for g, w in zip(grads.d_weights, want_dw, strict=True))
+    assert close(grads.d_input, want_input)
+    assert all(close(z, w) for z, w in zip(cache.pre_acts, want_pre_acts, strict=True))
+    return cache
 
 
 class TestInitModel:
@@ -218,19 +237,7 @@ class TestBackward:
         h0[3, isolated] = 0.0           # and on the isolated node only
         coeffs = rng.normal(size=h0.shape)
         model = init_model(dims, leaky_slope=slope, seed=sum(dims), final_nonlinearity=final)
-
-        refined, cache = gcn_forward(model, cond, h0)
-        grads = gcn_backward(model, cond, cache, coeffs)
-        want_refined, want_dw, want_input = dense_gcn(
-            model.weights, slope, final, propagation_matrix(cond), h0, coeffs
-        )
-
-        def close(got, want):
-            return np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
-
-        assert close(refined, want_refined)
-        assert all(close(g, w) for g, w in zip(grads.d_weights, want_dw, strict=True))
-        assert close(grads.d_input, want_input)
+        assert_matches_oracle(model, cond, h0, coeffs)
 
     def test_cache_mismatch_rejected(self):
         rng = np.random.default_rng(11)
@@ -242,6 +249,83 @@ class TestBackward:
         other = init_model((1, 5, 1), seed=0)
         with pytest.raises(ValidationError):
             gcn_backward(other, cond, cache, np.zeros((2, 3)))
+        _, sector_cache = gcn_forward(init_model((1, 4, 4, 1), seed=0), cond, np.ones((2, 3)))
+        for other in (model, init_model((1, 4, 5, 1), seed=0)):
+            with pytest.raises(ValidationError):
+                gcn_backward(other, cond, sector_cache, np.zeros((2, 3)))
+        with pytest.raises(ValidationError, match="layer count"):
+            gcn_backward(init_model((1, 4, 4, 1), seed=0), cond, cache, np.zeros((2, 3)))
+
+
+class TestSectorForm:
+    """The three-weight-layer head's piecewise-linear form."""
+
+    @pytest.mark.parametrize("final", [False, True])
+    def test_exact_tie_takes_slope_one(self, final):
+        # P = [[1, 0], [.5, .5]] and h0 = (2, -4) give a = (2, -1), so node 1
+        # has q+ = 1, q- = -0.5 and t = 2/3. With w1 = (1, -1) and slope 0.5,
+        # units 0 and 1 have (A, B) = (1, 2) and (-1, -2): both break at
+        # t = 2/3, rising and falling, and their pre-activation there is 0.
+        cond = CondProbMatrix(np.array([[1.0, 0.0], [1.0, 1.0]]), frozenset())
+        weights = (
+            np.array([[1.0, -1.0]]),
+            np.array([[0.0, 0.0, 0.75], [-2.0, 2.0, 0.25]]),
+            np.array([[1.0], [-0.5], [-1.5]]),
+        )
+        model = GcnModel((1, 2, 3, 1), weights, leaky_slope=0.5, final_nonlinearity=final)
+        h0 = np.array([[2.0, -4.0], [-1.0, 3.0]])
+        cache = assert_matches_oracle(model, cond, h0, np.array([[0.5, -2.0], [1.5, 1.0]]))
+        assert cache.pre_acts[1][0, 1, :2].tolist() == [0.0, 0.0]
+        tie = cache.sector_ids[1, 0]
+        assert cache.sectors.breaks[(tie - 1) // 2] == 2.0 / 3.0
+        assert cache.sectors.slopes[tie, :2].tolist() == [1.0, 1.0]
+        # either neighbouring sector gives one of the two units slope 0.5
+        assert 0.5 in cache.sectors.slopes[tie - 1, :2]
+        assert 0.5 in cache.sectors.slopes[tie + 1, :2]
+
+    @pytest.mark.parametrize("slope", [0.01, 0.2])
+    @pytest.mark.parametrize("final", [False, True])
+    def test_default_width_matches_dense_oracle(self, slope, final):
+        rng = np.random.default_rng(int(100 * slope) + final)
+        n = 30
+        probs = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
+        np.fill_diagonal(probs, 1.0)
+        cond = CondProbMatrix(probs, frozenset())
+        h0 = rng.normal(size=(6, n))
+        h0[2] = 0.0                     # every node in the q+ = q- = 0 sector
+        h0[4, h0[4] < 0] = 0.0          # no negative evidence: t == 1
+        model = init_model((1, 64, 64, 1), leaky_slope=slope, seed=n, final_nonlinearity=final)
+        cache = assert_matches_oracle(model, cond, h0, rng.normal(size=h0.shape))
+        zero_sector = len(cache.sectors.coeffs) - 1
+        assert (cache.sector_ids[:, 2] == zero_sector).all()
+        assert (cache.sector_ids[:, [0, 1, 3, 5]] < zero_sector).all()
+
+    def test_cache_holds_no_wide_array(self):
+        rng = np.random.default_rng(12)
+        n, batch = 80, 32
+        model = init_model((1, 64, 64, 1), seed=12)
+        _, cache = gcn_forward(model, random_cond(rng, n), rng.normal(size=(batch, n)))
+        arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
+        arrays += list(vars(cache.sectors).values())
+        assert len(arrays) == 9
+        assert max(x.size for x in arrays) <= 3 * batch * n
+
+    @pytest.mark.parametrize("scale, layer", [((1e200, 1e200, 1.0), 2), ((1.0, 1.0, 1e308), 3)])
+    def test_overflow_names_layer(self, scale, layer):
+        model = init_model((1, 4, 4, 1), seed=0)
+        big = with_weights(model, [w * s for w, s in zip(model.weights, scale)])
+        with pytest.raises(NumericError, match=f"layer {layer}"):
+            gcn_forward(big, identity_cond(3), np.array([[1e10, -1e10, 1.0]]))
+
+    def test_sector_ids_match_searchsorted(self):
+        rng = np.random.default_rng(13)
+        breaks = np.unique(np.concatenate([rng.random(40), [0.0, 1.0, 0.5, 3 / 1024]]))
+        near = np.concatenate([np.nextafter(breaks, -1.0), np.nextafter(breaks, 2.0)])
+        edges = np.arange(1025) / 1024
+        t = np.clip(np.concatenate([breaks, near, edges, rng.random(500)]), 0.0, 1.0)
+        want = np.searchsorted(breaks, t) + np.searchsorted(breaks, t, "right")
+        assert np.array_equal(_sector_ids(breaks, t), want)
+        assert np.array_equal(_sector_ids(breaks[:0], t), np.zeros(t.size, np.intp))
 
 
 class TestSerialization:
