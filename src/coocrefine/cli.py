@@ -407,6 +407,12 @@ def cmd_eval(args) -> int:
         raise ValidationError("--model and --cond-prob must be given together")
     if o.refined_out is not None and o.model is None:
         raise ValidationError("--refined-out needs --model (and --cond-prob)")
+    own = ("report.json", "per_class.csv", "eval_manifest.json")
+    if o.refined_out is not None and (
+        Path(o.refined_out).name != o.refined_out or o.refined_out in ("", "..", *own)
+    ):
+        raise ValidationError(f"--refined-out must be a bare file name other than "
+                              f"{', '.join(own)}, not '{o.refined_out}'")
     out = _out_dir(o.out_dir)
 
     labels = load_labels(o.labels)
@@ -462,22 +468,24 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     resolved, o = _resolve(args)
     _require(resolved, "labels", "cond_prob")
+    given = tuple(k for k in ("before", "after", "model", "logits") if getattr(o, k) is not None)
+    if given not in (("before", "after"), ("model", "logits")):
+        raise ValidationError("need either --before and --after, or --model and --logits "
+                              f"(given: {' '.join(map(_flag, given)) or 'none'})")
     out = _out_dir(o.out_dir)
 
     labels = load_labels(o.labels)
     inputs = {"labels": o.labels, "cond_prob": o.cond_prob}
-    if o.before is not None and o.after is not None:
+    if given == ("before", "after"):
         cond = _load_cond_prob(o.cond_prob, labels)
         before = load_logits(o.before, labels).values
         after = load_logits(o.after, labels).values
         inputs.update(before=o.before, after=o.after)
-    elif o.model is not None and o.logits is not None:
+    else:
         logits = load_logits(o.logits, labels)
         cond, after = _refine(o, labels, logits, inputs)
         before = logits.values
         inputs["logits"] = o.logits
-    else:
-        raise ValidationError("need either --before and --after, or --model and --logits")
 
     ap_before, excluded_b = per_class_average_precision(before, labels.values)
     ap_after, excluded_a = per_class_average_precision(after, labels.values)

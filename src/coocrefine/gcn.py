@@ -6,8 +6,8 @@ matrix and mixes them with a learned weight matrix:
 
     H_l = act(P @ H_{l-1} @ W_l)
 
-where P is the row-normalized conditional-probability matrix (see
-``propagation_matrix``), W_l the layer's learnable weights, and act a
+where P is the row-normalized conditional-probability matrix
+(``CondProbMatrix.propagation``), W_l the layer's learnable weights, and act a
 LeakyReLU applied on hidden layers (and on the last layer only when
 ``final_nonlinearity`` is set). Layers carry no
 bias, so zero input maps to zero output. The head's output is added back
@@ -59,6 +59,9 @@ literally or layer by layer.
 Gradients are computed analytically in reverse mode; the LeakyReLU
 subgradient at exactly 0 uses the positive-branch slope 1. Forward and
 backward are pure functions of their inputs and bitwise deterministic.
+A forward cache belongs to the model and the prior that made it: it holds
+that very ``GcnModel`` and that ``cond.propagation`` array, and the
+backward pass rejects any other pairing with ValidationError.
 
 Model file format (version ``coocrefine-gcn v1``), all tokens space
 separated, floats written with shortest round-trip repr:
@@ -156,15 +159,16 @@ class GcnCache:
     ``a ⊗ w1`` stays factored and is built only when ``pre_acts`` is read.
     """
 
+    model: GcnModel                         # the forward's model, by reference
+    prop: np.ndarray                        # its P, cond.propagation, by reference
     first_input: np.ndarray                 # a = P h0 per sample, (N, batch)
-    first_weights: np.ndarray               # w1, the single row of W_1, (d_1,)
     signals: tuple[np.ndarray, ...]         # per layer >= 2: P F, or F if it propagates after mixing
     later_pre_acts: tuple[np.ndarray, ...]  # Z_l per layer >= 2, (N, batch, d_l)
 
     @property
     def pre_acts(self) -> tuple[np.ndarray, ...]:
         """Pre-activation Z_l of every layer, each ``(batch, N, d_l)``."""
-        first = self.first_input[:, :, None] * self.first_weights
+        first = self.first_input[:, :, None] * self.model.weights[0][0]
         return tuple(z.transpose(1, 0, 2) for z in (first,) + self.later_pre_acts)
 
 
@@ -192,8 +196,9 @@ class SectorCache:
     ``pre_acts`` builds every layer's pre-activation from them on demand.
     """
 
+    model: GcnModel                 # the forward's model, by reference
+    prop: np.ndarray                # its P, cond.propagation, by reference
     first_input: np.ndarray         # a = P h0
-    first_weights: np.ndarray       # w1, (d_1,)
     propagated: np.ndarray          # [q+ q-] = P [a+ a-]
     sector_ids: np.ndarray          # sector of each node and sample
     last_pre_act: np.ndarray        # Z_3 = P g
@@ -205,7 +210,7 @@ class SectorCache:
         q_pos, q_neg = np.hsplit(self.propagated, 2)
         factors = self.sectors.factors
         zs = (
-            self.first_input[:, :, None] * self.first_weights,
+            self.first_input[:, :, None] * self.model.weights[0][0],
             q_pos[:, :, None] * factors[0] + q_neg[:, :, None] * factors[1],
             self.last_pre_act[:, :, None],
         )
@@ -231,12 +236,6 @@ def init_model(
         bound = np.sqrt(6.0 / (d_in + d_out))
         weights.append(rng.uniform(-bound, bound, size=(d_in, d_out)))
     return GcnModel(dims, tuple(weights), leaky_slope, final_nonlinearity)
-
-
-def propagation_matrix(cond: CondProbMatrix) -> np.ndarray:
-    """The row-normalized operator P, computed once per ``cond`` (see
-    ``CondProbMatrix.propagation``)."""
-    return cond.propagation
 
 
 def _leaky(z: np.ndarray, slope: float) -> np.ndarray:
@@ -362,7 +361,7 @@ def _sector_forward(
     if not np.isfinite(z).all():
         raise NumericError("non-finite value at layer 3")
     out = _leaky(z, model.leaky_slope) if model.final_nonlinearity else z
-    return out, SectorCache(a, model.weights[0][0], q, ids, z, sectors)
+    return out, SectorCache(model, prop, a, q, ids, z, sectors)
 
 
 def _layer_forward(
@@ -392,7 +391,7 @@ def _layer_forward(
         u = None
     with np.errstate(over="ignore", invalid="ignore"):
         h = f if u is None else _mix(f, u)
-    return h[:, :, 0], GcnCache(a, model.weights[0][0], tuple(signals), tuple(pre_acts))
+    return h[:, :, 0], GcnCache(model, prop, a, tuple(signals), tuple(pre_acts))
 
 
 def gcn_forward(
@@ -415,7 +414,7 @@ def gcn_forward(
     if not np.isfinite(h0).all():
         raise NumericError("non-finite value in input logits")
 
-    prop = propagation_matrix(cond)
+    prop = cond.propagation
     with np.errstate(over="ignore", invalid="ignore"):
         a = prop @ h0.T
         # |Z_1| = |a ⊗ w1| peaks at max|a| * max|w1|
@@ -427,37 +426,9 @@ def gcn_forward(
     return h0 + h.T, cache
 
 
-def _check_cache(model: GcnModel, cond: CondProbMatrix, cache, grad_refined: np.ndarray) -> None:
-    """Raise ValidationError unless ``cache`` is a forward cache of ``model``
-    on ``cond`` and ``grad_refined`` has its batch's shape."""
-    if isinstance(cache, SectorCache) != (model.n_layers == 3) or isinstance(cache, GcnCache) and (
-        len(cache.signals) != model.n_layers - 1 or len(cache.later_pre_acts) != model.n_layers - 1
-    ):
-        raise ValidationError("cache does not match the model's layer count")
-    n, batch = cache.first_input.shape
-    if grad_refined.shape != (batch, n):
-        raise ValidationError(
-            f"grad_refined shape {grad_refined.shape} does not match "
-            f"forward batch shape {(batch, n)}"
-        )
-    dims = model.layer_dims
-    if isinstance(cache, SectorCache):
-        shapes = [(cache.propagated, (n, 2 * batch)), (cache.sector_ids, (n, batch)),
-                  (cache.last_pre_act, (n, batch)), (cache.sectors.factors, (3, dims[2]))]
-    else:
-        shapes = [(m, (n, batch, 2 if l == 1 else dims[l]))
-                  for l, m in enumerate(cache.signals, start=1)]
-        shapes += [(z, (n, batch, dims[l + 1]))
-                   for l, z in enumerate(cache.later_pre_acts, start=1)]
-    if n != cond.n_classes or cache.first_weights.shape != (dims[1],) or any(
-        x.shape != shape for x, shape in shapes
-    ):
-        raise ValidationError("cache does not match the model/input shapes")
-
-
-def _sector_backward(model: GcnModel, prop_t: np.ndarray, cache: SectorCache, grad: np.ndarray):
+def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
     """Weight gradients and ``[dL/da+, dL/da-, w1 path]`` per node, ``(N, batch, 3)``."""
-    sectors = cache.sectors
+    model, sectors = cache.model, cache.sectors
     n, batch = cache.first_input.shape
     if model.final_nonlinearity:
         grad = grad * _dleaky(cache.last_pre_act, model.leaky_slope)
@@ -476,8 +447,9 @@ def _sector_backward(model: GcnModel, prop_t: np.ndarray, cache: SectorCache, gr
     return [d_w1, rows[:2].T @ d_ab, d_w3], g.reshape(n, batch, 3)
 
 
-def _layer_backward(model: GcnModel, prop_t: np.ndarray, cache: GcnCache, grad: np.ndarray):
+def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
     """Weight gradients and ``[dL/da+, dL/da-, w1 path]`` per node, ``(N, batch, 3)``."""
+    model = cache.model
     n_layers = model.n_layers
     rows, slopes = _first_layer(model)
     g = grad[:, :, None]
@@ -521,14 +493,25 @@ def gcn_backward(
     input logits (the latter includes the residual identity term).
     Gradients over a batch are accumulated in fixed order, so results are
     reproducible.
+
+    ``cache`` must come from ``gcn_forward`` on this very ``model`` and
+    ``cond``, with ``grad_refined`` of its shape; else ValidationError.
     """
     grad_refined = np.asarray(grad_refined, dtype=np.float64)
-    _check_cache(model, cond, cache, grad_refined)
+    if not (isinstance(cache, (GcnCache, SectorCache)) and cache.model is model
+            and cache.prop is cond.propagation):
+        raise ValidationError("cache was computed by another model or prior "
+                              "(layer count, widths, weights or classes differ)")
     a = cache.first_input
-    prop_t = propagation_matrix(cond).T
+    if grad_refined.shape != a.shape[::-1]:
+        raise ValidationError(
+            f"grad_refined shape {grad_refined.shape} does not match "
+            f"forward batch shape {a.shape[::-1]}"
+        )
+    prop_t = cache.prop.T
     backward = _sector_backward if isinstance(cache, SectorCache) else _layer_backward
     with np.errstate(over="ignore", invalid="ignore"):
-        d_weights, g = backward(model, prop_t, cache, grad_refined.T)
+        d_weights, g = backward(cache, prop_t, grad_refined.T)
         # dL/da reads the a+ column where a > 0, the a- one where a < 0 and
         # the w1 one where a == 0
         g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], g[:, :, 2]))

@@ -240,6 +240,38 @@ class TestTrainEvalAnalyze:
         err = capsys.readouterr().err
         assert "--refined-out" in err and "--model" in err
 
+    @pytest.mark.parametrize("name", ["per_class.csv", "../escaped.csv", ".."])
+    def test_refined_out_must_be_a_new_bare_name(self, fixtures, capsys, name):
+        tmp_path, labels, logits = fixtures
+        (tmp_path / "A.csv").write_text(A_CSV)
+        save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
+        out = tmp_path / "eval"
+        rc = main([
+            "eval", "--labels", str(labels), "--logits", str(logits),
+            "--model", str(tmp_path / "model.txt"), "--cond-prob", str(tmp_path / "A.csv"),
+            "--refined-out", name, "--out-dir", str(out),
+        ])
+        assert rc == 1
+        assert "--refined-out" in capsys.readouterr().err
+        assert not out.exists() and not (tmp_path / "escaped.csv").exists()
+
+    @pytest.mark.parametrize("extra, named", [
+        (["--before", "--after", "--model", "--logits"], "--after --model"),
+        (["--before", "--model", "--logits"], "--before --model"),
+    ], ids=["both-modes", "stray-before"])
+    def test_analyze_takes_exactly_one_mode(self, fixtures, capsys, extra, named):
+        tmp_path, labels, logits = fixtures
+        (tmp_path / "A.csv").write_text(A_CSV)
+        save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
+        paths = {"--model": tmp_path / "model.txt"}
+        argv = ["analyze", "--labels", str(labels), "--cond-prob", str(tmp_path / "A.csv"),
+                "--out-dir", str(tmp_path / "out")]
+        for flag in extra:
+            argv += [flag, str(paths.get(flag, logits))]
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_topk_eval(self, fixtures):
         tmp_path, labels, logits = fixtures
         out = tmp_path / "topk"

@@ -12,7 +12,7 @@ from coocrefine import (
     load_model,
     save_model,
 )
-from coocrefine.gcn import _sector_ids, propagation_matrix, with_weights
+from coocrefine.gcn import _sector_ids, with_weights
 
 from oracles import central_difference, dense_gcn, gradient_close
 
@@ -37,7 +37,7 @@ def assert_matches_oracle(model, cond, h0, coeffs):
     grads = gcn_backward(model, cond, cache, coeffs)
     want_refined, want_dw, want_input, want_pre_acts = dense_gcn(
         model.weights, model.leaky_slope, model.final_nonlinearity,
-        propagation_matrix(cond), h0, coeffs,
+        cond.propagation, h0, coeffs,
     )
     assert close(refined, want_refined)
     assert all(close(g, w) for g, w in zip(grads.d_weights, want_dw, strict=True))
@@ -73,17 +73,17 @@ class TestInitModel:
 class TestPropagationMatrix:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
-        prop = propagation_matrix(random_cond(rng, 6))
+        prop = random_cond(rng, 6).propagation
         assert np.allclose(prop.sum(axis=1), 1.0)
 
     def test_identity_rows_preserved(self):
         cond = CondProbMatrix(np.eye(4), frozenset({2}))
-        assert np.array_equal(propagation_matrix(cond), np.eye(4))
+        assert np.array_equal(cond.propagation, np.eye(4))
 
     def test_computed_once_and_read_only(self):
         cond = random_cond(np.random.default_rng(2), 5)
-        prop = propagation_matrix(cond)
-        assert propagation_matrix(cond) is prop
+        prop = cond.propagation
+        assert cond.propagation is prop
         assert not prop.flags.writeable
         assert np.array_equal(prop, cond.probs / cond.probs.sum(axis=1, keepdims=True))
 
@@ -255,6 +255,28 @@ class TestBackward:
                 gcn_backward(other, cond, sector_cache, np.zeros((2, 3)))
         with pytest.raises(ValidationError, match="layer count"):
             gcn_backward(init_model((1, 4, 4, 1), seed=0), cond, cache, np.zeros((2, 3)))
+
+    # shapes cannot tell these pairings apart; a cache holds its own model and P
+    @pytest.mark.parametrize("dims", [(1, 8, 8, 1), (1, 3, 4, 5, 1)], ids=str)
+    def test_cache_of_same_dims_model_rejected(self, dims):
+        rng = np.random.default_rng(14)
+        cond = random_cond(rng, 5)
+        model = init_model(dims, seed=1)
+        _, cache = gcn_forward(model, cond, rng.normal(size=(3, 5)))
+        upstream = rng.normal(size=(3, 5))
+        for other in (init_model(dims, seed=2), with_weights(model, model.weights)):
+            with pytest.raises(ValidationError, match="another model or prior"):
+                gcn_backward(other, cond, cache, upstream)
+        gcn_backward(model, cond, cache, upstream)
+
+    @pytest.mark.parametrize("dims", [(1, 64, 64, 1), (1, 3, 4, 5, 1)], ids=str)
+    def test_cache_of_same_size_prior_rejected(self, dims):
+        rng = np.random.default_rng(15)
+        cond, other = random_cond(rng, 5), random_cond(rng, 5)
+        model = init_model(dims, seed=3)
+        _, cache = gcn_forward(model, cond, rng.normal(size=(3, 5)))
+        with pytest.raises(ValidationError, match="another model or prior"):
+            gcn_backward(model, other, cache, rng.normal(size=(3, 5)))
 
 
 class TestSectorForm:
