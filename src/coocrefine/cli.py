@@ -27,7 +27,9 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
+import tempfile
 from dataclasses import fields
 from functools import partial
 from pathlib import Path
@@ -253,13 +255,25 @@ def _sha256(path) -> str:
 def _out_dir(path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
-    probe = out / ".write_probe"
     try:
-        probe.write_text("")
-        probe.unlink()
+        tempfile.TemporaryFile(dir=out).close()    # unnamed: no file of out is touched
     except OSError as exc:
         raise ValidationError(f"out_dir not writable: {out}: {exc}") from None
     return out
+
+
+def _hash_inputs(out: Path, subcommand: str, inputs: dict, outputs, refined_out=None):
+    """Path and SHA-256 of every input, taken before any output is written.
+
+    An output under ``out``, the manifest included, that is an input file
+    exits 1 before anything is written.
+    """
+    for name in (*outputs, f"{subcommand}_manifest.json"):
+        flag = "refined_out" if name == refined_out else "out_dir"
+        for role, path in inputs.items():
+            if (out / name).exists() and os.path.samefile(out / name, path):
+                raise ValidationError(f"{_flag(flag)} would overwrite the {_flag(role)} input {path}")
+    return {role: {"path": str(p), "sha256": _sha256(p)} for role, p in inputs.items()}
 
 
 def _write_manifest(out: Path, subcommand: str, resolved: dict, inputs: dict, outputs):
@@ -269,25 +283,24 @@ def _write_manifest(out: Path, subcommand: str, resolved: dict, inputs: dict, ou
         "subcommand": subcommand,
         "seed": resolved.get("seed"),
         "config": resolved,
-        "inputs": {role: {"path": str(p), "sha256": _sha256(p)} for role, p in inputs.items()},
+        "inputs": inputs,
         "outputs": sorted(str(o) for o in outputs),
     }
     text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
     (out / f"{subcommand}_manifest.json").write_text(text, encoding="utf-8")
 
 
-def _write_prior_files(out: Path, labels) -> tuple[list[str], object]:
+def _write_prior_files(out: Path, labels):
     cooc = cooccurrence(labels)
     names = labels.class_names
     for name, matrix in (("C.csv", cooc.counts), ("A.csv", conditional_prob(cooc).probs)):
         rows = ((cls, *row) for cls, row in zip(names, matrix.tolist()))
         write_table(out / name, ("class", *names), rows)
-    return ["C.csv", "A.csv"], cooc
+    return cooc
 
 
-def _write_alpha(out: Path, weights, names) -> str:
+def _write_alpha(out: Path, weights, names) -> None:
     write_table(out / "alpha.csv", ("class", "alpha"), zip(names, weights.alphas.tolist()))
-    return "alpha.csv"
 
 
 def _load_cond_prob(path, labels) -> CondProbMatrix:
@@ -337,9 +350,11 @@ def cmd_prior(args) -> int:
     _require(resolved, "labels")
     out = _out_dir(o.out_dir)
     labels = load_labels(o.labels)
-    outputs, cooc = _write_prior_files(out, labels)
-    outputs.append(_write_alpha(out, reweighting(cooc, o.reweight_mode), labels.class_names))
-    _write_manifest(out, "prior", resolved, {"labels": o.labels}, outputs)
+    outputs = ["C.csv", "A.csv", "alpha.csv"]
+    inputs = _hash_inputs(out, "prior", {"labels": o.labels}, outputs)
+    cooc = _write_prior_files(out, labels)
+    _write_alpha(out, reweighting(cooc, o.reweight_mode), labels.class_names)
+    _write_manifest(out, "prior", resolved, inputs, outputs)
     print(f"wrote {', '.join(outputs)} to {out}")
     return 0
 
@@ -359,13 +374,15 @@ def cmd_train(args) -> int:
         val_labels = load_labels(o.val_labels)
         validation = (val_labels, load_logits(o.val_logits, val_labels))
         inputs.update(val_labels=o.val_labels, val_logits=o.val_logits)
+    outputs = ["C.csv", "A.csv", "alpha.csv", "model.txt", "history.csv"]
+    inputs = _hash_inputs(out, "train", inputs, outputs)
 
     config = _fill(TrainConfig, o)
     model, weights, _, history = train(labels, logits, config, validation)
 
     save_model(model, out / "model.txt")
-    outputs, _ = _write_prior_files(out, labels)
-    outputs += [_write_alpha(out, weights, labels.class_names), "model.txt", "history.csv"]
+    _write_prior_files(out, labels)
+    _write_alpha(out, weights, labels.class_names)
     write_table(out / "history.csv", ("epoch", "loss", "lr", "val_mAP"), (
         (rec.epoch, rec.mean_loss, rec.lr, "" if rec.val_map is None else rec.val_map)
         for rec in history.records
@@ -430,10 +447,16 @@ def cmd_eval(args) -> int:
         },
         "initial": _metrics_block(evaluate(logits.values, labels, **kwargs), labels.class_names),
     }
-    outputs = ["report.json"]
 
+    outputs = ["report.json"]
     if o.model is not None:
         cond, refined = _refine(o, labels, logits, inputs)
+        outputs.append("per_class.csv")
+    if o.refined_out is not None:
+        outputs.append(o.refined_out)
+    inputs = _hash_inputs(out, "eval", inputs, outputs, o.refined_out)
+
+    if o.model is not None:
         refined_report = evaluate(refined, labels, **kwargs)
         report["refined"] = _metrics_block(refined_report, labels.class_names)
         report["delta_map"] = report["refined"]["map"] - report["initial"]["map"]
@@ -447,12 +470,9 @@ def cmd_eval(args) -> int:
                       analysis.delta_ap.tolist())
         rows = ((labels.class_names[j], x, ap_before[j], ap_after[j], d) for j, x, d in columns)
         write_table(out / "per_class.csv", header, rows)
-        outputs.append("per_class.csv")
 
         if o.refined_out is not None:
-            refined_path = out / o.refined_out
-            write_logits(LogitMatrix(refined), labels, refined_path)
-            outputs.append(refined_path.name)
+            write_logits(LogitMatrix(refined), labels, out / o.refined_out)
 
     (out / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -487,6 +507,7 @@ def cmd_analyze(args) -> int:
         before = logits.values
         inputs["logits"] = o.logits
 
+    inputs = _hash_inputs(out, "analyze", inputs, ["bins.csv"])
     ap_before, excluded_b = per_class_average_precision(before, labels.values)
     ap_after, excluded_a = per_class_average_precision(after, labels.values)
     excluded = sorted(set(excluded_b) | set(excluded_a))

@@ -43,7 +43,7 @@ class LabelMatrix:
         values = np.asarray(self.values)
         if values.ndim != 2:
             raise ValidationError("label values must be a 2-d matrix")
-        if not np.isin(values, (0, 1)).all():
+        if not ((values == 0) | (values == 1)).all():
             raise ValidationError("label values must be 0 or 1")
         values = frozen_array(values, np.uint8)
         object.__setattr__(self, "values", values)

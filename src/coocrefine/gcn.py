@@ -45,7 +45,7 @@ that form; no array as wide as a hidden layer is built per node:
 * The output is ``P g``, through LeakyReLU if ``final_nonlinearity`` is
   set. The backward pass reduces the weight gradients to per-sector sums
   of ``back * q±`` with ``back = P^T dL/d(P g)``, and the input gradient
-  to one width-3 ``P^T`` product.
+  to two ``P^T`` products, run only when ``d_input`` is first read.
 
 Deeper or shallower heads run a layer loop on the same factors: layers
 >= 3 propagate at width ``min(d_in, d_out)``, ``P (H W)`` when
@@ -57,8 +57,11 @@ their last digits from those of versions that evaluated the formula
 literally or layer by layer.
 
 Gradients are computed analytically in reverse mode; the LeakyReLU
-subgradient at exactly 0 uses the positive-branch slope 1. Forward and
-backward are pure functions of their inputs and bitwise deterministic.
+subgradient at exactly 0 uses the positive-branch slope 1. The input
+gradient ``GcnGradients.d_input`` is computed, and finiteness-checked,
+when first read, so training, which never reads it, never computes it.
+Forward and backward are pure functions of their inputs and bitwise
+deterministic.
 A forward cache belongs to the model and the prior that made it: it holds
 that very ``GcnModel`` and that ``cond.propagation`` array, and the
 backward pass rejects any other pairing with ValidationError.
@@ -78,7 +81,8 @@ separated, floats written with shortest round-trip repr:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -137,18 +141,23 @@ class GcnModel:
 
 @dataclass(frozen=True)
 class GcnGradients:
-    """Gradients w.r.t. every weight matrix and the input logits."""
+    """Gradients w.r.t. every weight matrix and, when first read, the input logits."""
 
     d_weights: tuple[np.ndarray, ...]
-    d_input: np.ndarray             # (batch, N)
+    input_grad: object              # d_input (batch, N), or a function computing it
 
     def __post_init__(self):
         object.__setattr__(self, "d_weights", tuple(self.d_weights))
         for g in self.d_weights:
             if not np.isfinite(g).all():
                 raise NumericError("non-finite weight gradient")
-        if not np.isfinite(self.d_input).all():
+
+    @cached_property
+    def d_input(self) -> np.ndarray:
+        d_input = self.input_grad() if callable(self.input_grad) else self.input_grad
+        if not np.isfinite(d_input).all():
             raise NumericError("non-finite input gradient")
+        return d_input
 
 
 @dataclass(frozen=True)
@@ -203,6 +212,7 @@ class SectorCache:
     sector_ids: np.ndarray          # sector of each node and sample
     last_pre_act: np.ndarray        # Z_3 = P g
     sectors: HeadSectors
+    first_layer: tuple[np.ndarray, np.ndarray]     # _first_layer(model)
 
     @property
     def pre_acts(self) -> tuple[np.ndarray, ...]:
@@ -281,37 +291,32 @@ def _first_layer(model: GcnModel) -> tuple[np.ndarray, np.ndarray]:
     carries the gradient where ``a == 0``.
     """
     w1 = model.weights[0][0]
-    if _activated(model, 0):
-        slopes = _dleaky(_SIGNS * w1, model.leaky_slope)
-    else:
-        slopes = np.ones((2, w1.size))
+    slopes = _dleaky(_SIGNS * w1, model.leaky_slope if _activated(model, 0) else 1.0)
     return np.concatenate([w1 * slopes, model.weights[0]]), slopes
 
 
-def _sector_table(model: GcnModel) -> HeadSectors:
-    """Breakpoints, slope rows and coefficients of a three-weight-layer head."""
-    rows, _ = _first_layer(model)
-    with np.errstate(over="ignore", invalid="ignore"):
+def _sector_table(model: GcnModel, rows: np.ndarray) -> HeadSectors:
+    """Sector table of a three-weight-layer head; ``rows`` as ``_first_layer`` gives them."""
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         factors = rows @ model.weights[1]
-    if not np.isfinite(factors).all():
-        raise NumericError("non-finite value at layer 2")
-    pos, neg = factors[0], factors[1]
-    with np.errstate(over="ignore"):
+        if not np.isfinite(factors).all():
+            raise NumericError("non-finite value at layer 2")
+        pos, neg = factors[0], factors[1]
         total = pos + neg
-        t = np.divide(neg, total, out=np.full_like(neg, -1.0), where=total != 0)
-    inside = (0.0 <= t) & (t <= 1.0)
-    breaks = np.unique(t[inside])
-    at = 2 * np.searchsorted(breaks, t) + 1         # the sector of each unit's breakpoint
-    last = 2 * breaks.size
-    # unit k has slope 1 where q+ A_k + q- B_k >= 0: from its breakpoint on if
-    # A_k + B_k > 0, up to it if A_k + B_k < 0; with no breakpoint in [0, 1]
-    # it has the sign of -B_k throughout
-    lo = np.where(inside & (total > 0), at, np.where(inside | (neg <= 0), 0, last + 1))
-    hi = np.where(inside & (total < 0), at, last)
-    s = np.arange(last + 1)[:, None]
-    slopes = np.vstack([np.where((lo <= s) & (s <= hi), 1.0, model.leaky_slope),
-                        np.ones(neg.size)])
-    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.where(total != 0, neg / total, -1.0)
+        inside = (0.0 <= t) & (t <= 1.0)
+        breaks = np.sort(t[inside])
+        breaks = breaks[np.diff(breaks, append=2.0) != 0]       # the distinct ones
+        at = 2 * np.searchsorted(breaks, t) + 1         # the sector of each unit's breakpoint
+        last = 2 * breaks.size
+        # unit k has slope 1 where q+ A_k + q- B_k >= 0: from its breakpoint on if
+        # A_k + B_k > 0, up to it if A_k + B_k < 0 (so B_k <= 0); with no
+        # breakpoint in [0, 1] it has the sign of -B_k throughout
+        lo = np.where(inside & (total > 0), at, np.where(neg > 0, last + 1, 0))
+        hi = np.where(inside & (total < 0), at, last)
+        # the last row is the zero sector: its test 0 <= hi gives every unit slope 1
+        s = np.arange(last + 2)[:, None]
+        slopes = np.where((lo <= s) & (s % (last + 1) <= hi), 1.0, model.leaky_slope)
         coeffs = slopes @ (factors * model.weights[2][:, 0]).T
     return HeadSectors(factors, breaks, slopes, coeffs)
 
@@ -326,12 +331,12 @@ def _sector_ids(breaks: np.ndarray, t: np.ndarray) -> np.ndarray:
     bin holds a breakpoint is searched.
     """
     held = np.bincount((breaks * _BINS).astype(np.intp), minlength=_BINS + 1)
-    below = np.cumsum(held) - held
+    below = held.cumsum() - held
     bins = (t * _BINS).astype(np.intp)
     ids = 2 * below[bins]
     search = held[bins] > 0
     hit = t[search]
-    ids[search] = np.searchsorted(breaks, hit) + np.searchsorted(breaks, hit, "right")
+    ids[search] = breaks.searchsorted(hit) + breaks.searchsorted(hit, "right")
     return ids
 
 
@@ -339,16 +344,17 @@ def _sector_forward(
     model: GcnModel, prop: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, SectorCache]:
     """Output ``(N, batch)`` and cache of a three-weight-layer head, from a = P h0."""
-    sectors = _sector_table(model)
+    first = _first_layer(model)
+    sectors = _sector_table(model, first[0])
     batch = a.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
-        q = prop @ np.hstack([np.maximum(a, 0.0), np.minimum(a, 0.0)])
+        q = prop @ np.concatenate([np.maximum(a, 0.0), np.minimum(a, 0.0)], axis=1)
         q_pos, q_neg = q[:, :batch], q[:, batch:]
         top_pos, top_neg = q_pos.max(initial=0.0), -q_neg.min(initial=0.0)
         # |Z_2| = |q+ A + q- B| is at most top+ max|A| + top- max|B|, and the
         # denominator q+ - q- of t at most top+ + top-
-        peak = (top_pos * (1.0 + np.abs(sectors.factors[0]).max())
-                + top_neg * (1.0 + np.abs(sectors.factors[1]).max()))
+        peak_a, peak_b = 1.0 + np.abs(sectors.factors[:2]).max(axis=1)
+        peak = top_pos * peak_a + top_neg * peak_b
     if not np.isfinite(peak):
         raise NumericError("non-finite value at layer 2")
     span = q_pos - q_neg
@@ -357,11 +363,11 @@ def _sector_forward(
     ids = _sector_ids(sectors.breaks, t)
     ids[zero] = len(sectors.coeffs) - 1
     with np.errstate(over="ignore", invalid="ignore"):
-        z = prop @ (q_pos * sectors.coeffs[ids, 0] + q_neg * sectors.coeffs[ids, 1])
+        z = prop @ (q_pos * sectors.coeffs[:, 0][ids] + q_neg * sectors.coeffs[:, 1][ids])
     if not np.isfinite(z).all():
         raise NumericError("non-finite value at layer 3")
     out = _leaky(z, model.leaky_slope) if model.final_nonlinearity else z
-    return out, SectorCache(model, prop, a, q, ids, z, sectors)
+    return out, SectorCache(model, prop, a, q, ids, z, sectors, first)
 
 
 def _layer_forward(
@@ -427,7 +433,7 @@ def gcn_forward(
 
 
 def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
-    """Weight gradients and ``[dL/da+, dL/da-, w1 path]`` per node, ``(N, batch, 3)``."""
+    """Weight gradients and a function for ``[dL/da+, dL/da-, w1 path]``, ``(N, batch, 3)``."""
     model, sectors = cache.model, cache.sectors
     n, batch = cache.first_input.shape
     if model.final_nonlinearity:
@@ -435,20 +441,20 @@ def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
     back = prop_t @ grad                            # dL/dg, g = H_2 W_3
     # per sector, the sums of back * q+ and back * q-, each in a fixed order
     ids = cache.sector_ids.ravel()
-    sums = np.stack([np.bincount(ids, (back * q).ravel(), len(sectors.coeffs))
-                     for q in np.hsplit(cache.propagated, 2)])
+    sums = np.array([np.bincount(ids, (back * q).ravel(), len(sectors.coeffs))
+                     for q in (cache.propagated[:, :batch], cache.propagated[:, batch:])])
     # dL/dA and dL/dB are W_3 times the slope-weighted sums per unit
     r = sums @ sectors.slopes
     d_ab = r * model.weights[2][:, 0]
-    rows, slopes = _first_layer(model)
+    rows, slopes = cache.first_layer
     d_w1 = (slopes * (d_ab @ model.weights[1].T)).sum(axis=0, keepdims=True)
     d_w3 = (sectors.factors[:2] * r).sum(axis=0)[:, None]
-    g = prop_t @ (back[:, :, None] * sectors.coeffs[cache.sector_ids]).reshape(n, -1)
-    return [d_w1, rows[:2].T @ d_ab, d_w3], g.reshape(n, batch, 3)
+    return [d_w1, rows[:2].T @ d_ab, d_w3], lambda: (prop_t @ (
+        back[:, :, None] * sectors.coeffs[cache.sector_ids]).reshape(n, -1)).reshape(n, batch, 3)
 
 
 def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
-    """Weight gradients and ``[dL/da+, dL/da-, w1 path]`` per node, ``(N, batch, 3)``."""
+    """Weight gradients and a function for ``[dL/da+, dL/da-, w1 path]``, ``(N, batch, 3)``."""
     model = cache.model
     n_layers = model.n_layers
     rows, slopes = _first_layer(model)
@@ -477,7 +483,7 @@ def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
         d_u = _flat(_split(cache.first_input)).T @ _flat(g)
         g = _mix(g, rows.T)
     d_weights[0] = (slopes * d_u).sum(axis=0, keepdims=True)
-    return d_weights, g
+    return d_weights, lambda: g
 
 
 def gcn_backward(
@@ -489,8 +495,8 @@ def gcn_backward(
     """Exact reverse-mode gradients of the refined output.
 
     ``grad_refined`` is the upstream gradient w.r.t. the refined logits;
-    the result carries gradients for every weight matrix and for the
-    input logits (the latter includes the residual identity term).
+    the result carries gradients for every weight matrix and, computed when
+    first read, for the input logits (with the residual identity term).
     Gradients over a batch are accumulated in fixed order, so results are
     reproducible.
 
@@ -511,11 +517,15 @@ def gcn_backward(
     prop_t = cache.prop.T
     backward = _sector_backward if isinstance(cache, SectorCache) else _layer_backward
     with np.errstate(over="ignore", invalid="ignore"):
-        d_weights, g = backward(cache, prop_t, grad_refined.T)
+        d_weights, input_grad = backward(cache, prop_t, grad_refined.T)
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def d_input():
         # dL/da reads the a+ column where a > 0, the a- one where a < 0 and
         # the w1 one where a == 0
+        g = input_grad()
         g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], g[:, :, 2]))
-        d_input = (prop_t @ g_a).T + grad_refined
+        return (prop_t @ g_a).T + grad_refined
     return GcnGradients(tuple(d_weights), d_input)
 
 
@@ -581,8 +591,3 @@ def load_model(path) -> GcnModel:
         return GcnModel(dims, tuple(weights), slope, final == ["1"])
     except ValidationError as exc:
         raise ValidationError(f"{path}: bad model file: {exc}") from None
-
-
-def with_weights(model: GcnModel, weights) -> GcnModel:
-    """Copy of the model with replaced weight matrices."""
-    return replace(model, weights=tuple(weights))

@@ -13,6 +13,9 @@ easy negatives independently; alpha_j counteracts class imbalance. The
 eps clamp inside the logs keeps saturated predictions finite and is a
 documented deviation from the pure formula. The total is the plain sum
 over all batch elements and classes, accumulated in fixed order.
+
+``sigmoid`` is ``where(x >= 0, 1, e) / (1 + e)`` with ``e = exp(-|x|)``:
+bit for bit the two-branch stable form, without boolean-mask indexing.
 """
 
 from __future__ import annotations
@@ -45,14 +48,10 @@ class RaslParams:
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
+    """Numerically stable logistic function (see the module docstring)."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _check_inputs(logits: np.ndarray, labels: np.ndarray, params: RaslParams):
@@ -62,7 +61,7 @@ def _check_inputs(logits: np.ndarray, labels: np.ndarray, params: RaslParams):
         raise ValidationError("logits and labels must be matching 2-d matrices")
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logit")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValidationError("labels must be 0 or 1")
     if params.alphas.n_classes != logits.shape[1]:
         raise ValidationError(
@@ -116,15 +115,15 @@ def rasl_grad(logits: np.ndarray, labels: np.ndarray, params: RaslParams) -> np.
     gp, gn = params.gamma_pos, params.gamma_neg
     tiny = np.finfo(np.float64).tiny
     s = sigmoid(logits)
-    sm = s * (1.0 - s)              # d sigmoid / d logit
+    one_m = 1.0 - s
+    sm = s * one_m                  # d sigmoid / d logit
     alpha = params.alphas.alphas[None, :]
 
-    one_m = 1.0 - s
-    inner_p = one_m.copy()
+    inner_p = one_m
     if gp > 0:
         # s*log(s) -> 0 as s -> 0
         slog = np.where(s > tiny, s * np.log(np.maximum(s, tiny)), 0.0)
-        inner_p = inner_p - gp * slog
+        inner_p = one_m - gp * slog
     g_pos = -alpha * one_m ** gp * inner_p
 
     sd = np.maximum(s - params.delta, 0.0)

@@ -80,7 +80,7 @@ def average_precision(scores, labels) -> float:
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValidationError("scores and labels must have equal length")
-    if not np.isin(labels, (0, 1)).all():
+    if not ((labels == 0) | (labels == 1)).all():
         raise ValidationError("labels must be 0 or 1")
     n_pos = int(labels.sum())
     if n_pos == 0:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import LabelMatrix, LogitMatrix, batches
 from .errors import NumericError, ValidationError
-from .gcn import GcnModel, gcn_backward, gcn_forward, init_model, with_weights
+from .gcn import GcnModel, gcn_backward, gcn_forward, init_model
 from .loss import RaslParams, rasl_grad, rasl_loss
 from .metrics import per_class_average_precision
 from .prior import (
@@ -107,7 +107,8 @@ def sgd_step(
     """Classic-momentum SGD update: v <- momentum*v + g; W <- W - lr*v.
 
     Returns (updated model, updated velocity). With momentum=0 this is
-    plain SGD.
+    plain SGD. The checks here validate the new weights, so they are
+    frozen in place, and the new model is neither copied nor checked again.
     """
     if velocity is None:
         velocity = tuple(np.zeros_like(w) for w in model.weights)
@@ -122,9 +123,12 @@ def sgd_step(
         updated = w - lr * v_next
         if not np.isfinite(updated).all():
             raise NumericError("training diverged: non-finite weights after update")
+        updated.flags.writeable = False
         new_velocity.append(v_next)
         new_weights.append(updated)
-    return with_weights(model, new_weights), tuple(new_velocity)
+    new_model = object.__new__(GcnModel)
+    vars(new_model).update(vars(model), weights=tuple(new_weights))
+    return new_model, tuple(new_velocity)
 
 
 def _unit_mean(weights: ReweightVector) -> ReweightVector:

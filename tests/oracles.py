@@ -113,3 +113,39 @@ def dense_gcn(weights, slope, final_nonlinearity, prop, h0, grad_refined):
         d_weights[l] = propagated[l].reshape(-1, d_in).T @ g.reshape(-1, d_out)
         g = np.matmul(prop.T, g @ weights[l].T)
     return refined, d_weights, g[:, :, 0] + grad_refined, pre_acts
+
+
+def masked_sigmoid(x):
+    """The logistic function by boolean masks: ``1 / (1 + exp(-x))`` where
+    ``x >= 0``, ``exp(x) / (1 + exp(x))`` elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def stacked_sector_table(weights, slope):
+    """Factors, breakpoints, slope rows and coefficients of a 1-d-d-1 head,
+    built as the sector form first did: ``np.unique`` breakpoints, one slope
+    row per sector in ``[0, 2m]`` and the zero sector's all-ones row
+    stacked below them."""
+    w1 = weights[0][0]
+    first = np.where(np.array([[1.0], [-1.0]]) * w1 >= 0, 1.0, slope)
+    rows = np.concatenate([w1 * first, weights[0]])
+    factors = rows @ weights[1]
+    pos, neg = factors[0], factors[1]
+    total = pos + neg
+    t = np.divide(neg, total, out=np.full_like(neg, -1.0), where=total != 0)
+    inside = (0.0 <= t) & (t <= 1.0)
+    breaks = np.unique(t[inside])
+    at = 2 * np.searchsorted(breaks, t) + 1
+    last = 2 * breaks.size
+    lo = np.where(inside & (total > 0), at, np.where(inside | (neg <= 0), 0, last + 1))
+    hi = np.where(inside & (total < 0), at, last)
+    s = np.arange(last + 1)[:, None]
+    slopes = np.vstack([np.where((lo <= s) & (s <= hi), 1.0, slope), np.ones(neg.size)])
+    coeffs = slopes @ (factors * weights[2][:, 0]).T
+    return factors, breaks, slopes, coeffs

@@ -7,13 +7,13 @@ and enforces the stated tolerances and runtime budgets.
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import coocrefine as cr
 from coocrefine.cli import main
-from coocrefine.gcn import with_weights
 
 from oracles import (
     brute_average_precision,
@@ -91,7 +91,7 @@ def test_criterion_2_combined_gradient_matches_finite_differences():
         weights = [w.copy() for w in model.weights]
 
         def total():
-            out, _ = cr.gcn_forward(with_weights(model, weights), cond, h0)
+            out, _ = cr.gcn_forward(replace(model, weights=weights), cond, h0)
             return cr.rasl_loss(out, labels, params)[0]
 
         for layer, analytic in enumerate(grads.d_weights):
@@ -137,7 +137,7 @@ def test_criterion_3_loss_reductions():
     np.fill_diagonal(probs, 1.0)
     cond = cr.CondProbMatrix(probs, frozenset())
     model = cr.init_model((1, 64, 64, 1), seed=0)
-    zero = with_weights(model, [np.zeros_like(w) for w in model.weights])
+    zero = replace(model, weights=[np.zeros_like(w) for w in model.weights])
     h0 = rng.normal(size=(8, 5)) * 4
     refined, _ = cr.gcn_forward(zero, cond, h0)
     assert np.array_equal(refined, h0)

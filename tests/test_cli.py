@@ -290,6 +290,44 @@ A_CSV_NAN = A_CSV.replace("0.5,0.5", "nan,0.5")
 A_CSV_REVERSED = "class,c2,c1,c0\nc2,1.0,0.0,0.5\nc1,0.0,1.0,1.0\nc0,0.5,0.5,1.0\n"
 
 
+class TestOutputNeverReplacesInput:
+    def test_eval_refined_out_onto_its_logits(self, fixtures, capsys):
+        tmp_path, labels, logits = fixtures
+        (tmp_path / "A.csv").write_text(A_CSV)
+        save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
+        before = logits.read_bytes()
+        rc = main([
+            "eval", "--labels", str(labels), "--logits", str(logits),
+            "--model", str(tmp_path / "model.txt"), "--cond-prob", str(tmp_path / "A.csv"),
+            "--refined-out", "logits.csv", "--out-dir", str(tmp_path),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--refined-out" in err and "--logits" in err
+        assert logits.read_bytes() == before
+        assert not (tmp_path / "report.json").exists()
+
+    def test_writability_probe_touches_no_file(self, fixtures):
+        tmp_path, labels, _ = fixtures
+        probe = tmp_path / ".write_probe"
+        probe.write_bytes(labels.read_bytes())
+        assert main(["prior", "--labels", str(probe), "--out-dir", str(tmp_path)]) == 0
+        assert probe.read_bytes() == labels.read_bytes()
+
+    def test_prior_onto_its_labels(self, fixtures, capsys):
+        tmp_path, labels, _ = fixtures
+        run = tmp_path / "run"
+        run.mkdir()
+        counts = run / "C.csv"
+        counts.write_bytes(labels.read_bytes())
+        rc = main(["prior", "--labels", str(counts), "--out-dir", str(run)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "--out-dir" in err and "--labels" in err
+        assert counts.read_bytes() == labels.read_bytes()
+        assert [p.name for p in run.iterdir()] == ["C.csv"]
+
+
 class TestCondProbFile:
     @pytest.mark.parametrize("content, fragment", [
         pytest.param(A_CSV_NAN, "line 2: non-finite", id="nan"),

@@ -4,11 +4,15 @@ import pytest
 from coocrefine import (
     LabelMatrix,
     LogitMatrix,
+    RaslParams,
+    ReweightVector,
     SyntheticSpec,
     ValidationError,
+    average_precision,
     batches,
     load_labels,
     load_logits,
+    rasl_loss,
     split,
     synth_generate,
     write_labels,
@@ -178,6 +182,27 @@ def spec_with(**overrides):
     )
     base.update(overrides)
     return SyntheticSpec(**base)
+
+
+LABEL_CHECKS = {
+    "LabelMatrix": lambda y: LabelMatrix(y, ("a", "b"), ("c0", "c1")),
+    "rasl_loss": lambda y: rasl_loss(
+        np.zeros(y.shape), y, RaslParams(ReweightVector(np.ones(2), "none"))),
+    "average_precision": lambda y: average_precision(np.arange(y.size, dtype=float), y),
+}
+
+
+@pytest.mark.parametrize("check", LABEL_CHECKS)
+@pytest.mark.parametrize("value", [0.5, 2, -1, np.nan])
+def test_label_checks_reject_non_binary(check, value):
+    with pytest.raises(ValidationError, match="must be 0 or 1"):
+        LABEL_CHECKS[check](np.array([[value, True], [True, False]]))
+
+
+@pytest.mark.parametrize("check", LABEL_CHECKS)
+@pytest.mark.parametrize("value", [0, 1, True])
+def test_label_checks_accept_binary(check, value):
+    LABEL_CHECKS[check](np.array([[value, True], [True, False]]))
 
 
 class TestSynthGenerate:

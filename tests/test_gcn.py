@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from coocrefine import (
     load_model,
     save_model,
 )
-from coocrefine.gcn import _sector_ids, with_weights
+from coocrefine.gcn import GcnGradients, _first_layer, _sector_ids, _sector_table
 
-from oracles import central_difference, dense_gcn, gradient_close
+from oracles import central_difference, dense_gcn, gradient_close, stacked_sector_table
 
 
 def random_cond(rng, n):
@@ -103,7 +105,7 @@ class TestForward:
     def test_zero_weights_give_exact_residual_identity(self):
         rng = np.random.default_rng(3)
         model = init_model((1, 4, 4, 1), seed=0)
-        zero = with_weights(model, [np.zeros_like(w) for w in model.weights])
+        zero = replace(model, weights=[np.zeros_like(w) for w in model.weights])
         h0 = rng.normal(size=(4, 6))
         refined, _ = gcn_forward(zero, random_cond(rng, 6), h0)
         assert np.array_equal(refined, h0)
@@ -205,7 +207,7 @@ class TestBackward:
             weights = [w.copy() for w in model.weights]
 
             def functional():
-                out, _ = gcn_forward(with_weights(model, weights), cond, h0)
+                out, _ = gcn_forward(replace(model, weights=weights), cond, h0)
                 return float((out * coeffs).sum())
 
             for layer, analytic in enumerate(grads.d_weights):
@@ -264,7 +266,7 @@ class TestBackward:
         model = init_model(dims, seed=1)
         _, cache = gcn_forward(model, cond, rng.normal(size=(3, 5)))
         upstream = rng.normal(size=(3, 5))
-        for other in (init_model(dims, seed=2), with_weights(model, model.weights)):
+        for other in (init_model(dims, seed=2), replace(model, weights=model.weights)):
             with pytest.raises(ValidationError, match="another model or prior"):
                 gcn_backward(other, cond, cache, upstream)
         gcn_backward(model, cond, cache, upstream)
@@ -335,9 +337,34 @@ class TestSectorForm:
     @pytest.mark.parametrize("scale, layer", [((1e200, 1e200, 1.0), 2), ((1.0, 1.0, 1e308), 3)])
     def test_overflow_names_layer(self, scale, layer):
         model = init_model((1, 4, 4, 1), seed=0)
-        big = with_weights(model, [w * s for w, s in zip(model.weights, scale)])
+        big = replace(model, weights=[w * s for w, s in zip(model.weights, scale)])
         with pytest.raises(NumericError, match=f"layer {layer}"):
             gcn_forward(big, identity_cond(3), np.array([[1e10, -1e10, 1.0]]))
+
+    def test_table_matches_stacked_build(self):
+        rng = np.random.default_rng(16)
+        ties = zero_totals = 0
+        for i in range(50):
+            d = int(rng.integers(2, 17))
+            if i % 2:
+                # small integers and a dyadic slope: exact ties, t of exactly 0
+                # or 1, and units with A + B == 0
+                slope = float(rng.choice([0.125, 0.25, 0.5]))
+                weights = [rng.integers(-2, 3, shape).astype(float)
+                           for shape in ((1, d), (d, d), (d, 1))]
+            else:
+                slope = float(rng.uniform(0.01, 0.5))
+                weights = init_model((1, d, d, 1), seed=i).weights
+            model = GcnModel((1, d, d, 1), tuple(weights), slope)
+            want = stacked_sector_table(model.weights, slope)
+            got = _sector_table(model, _first_layer(model)[0])
+            for field, value in zip(("factors", "breaks", "slopes", "coeffs"), want):
+                assert np.array_equal(getattr(got, field), value), (i, field)
+            total = want[0][0] + want[0][1]
+            t = want[0][1][total != 0] / total[total != 0]
+            ties += np.unique(t[(0 <= t) & (t <= 1)]).size < ((0 <= t) & (t <= 1)).sum()
+            zero_totals += (total == 0).any()
+        assert ties and zero_totals
 
     def test_sector_ids_match_searchsorted(self):
         rng = np.random.default_rng(13)
@@ -348,6 +375,29 @@ class TestSectorForm:
         want = np.searchsorted(breaks, t) + np.searchsorted(breaks, t, "right")
         assert np.array_equal(_sector_ids(breaks, t), want)
         assert np.array_equal(_sector_ids(breaks[:0], t), np.zeros(t.size, np.intp))
+
+
+class TestGradients:
+    def test_non_finite_input_gradient_raises_on_first_read(self):
+        given = GcnGradients((np.ones((1, 1)),), np.array([[1.0, np.nan]]))
+        computed = GcnGradients((np.ones((1, 1)),), lambda: np.array([[np.inf]]))
+        for grads in (given, computed):
+            with pytest.raises(NumericError, match="input gradient"):
+                grads.d_input
+
+    def test_non_finite_weight_gradient_raises_at_once(self):
+        with pytest.raises(NumericError, match="weight gradient"):
+            GcnGradients((np.array([[np.nan]]),), np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("dims", [(1, 4, 4, 1), (1, 3, 4, 5, 1)], ids=str)
+    def test_backward_computes_input_gradient_once_when_read(self, dims):
+        rng = np.random.default_rng(17)
+        cond, model = random_cond(rng, 4), init_model(dims, seed=4)
+        _, cache = gcn_forward(model, cond, rng.normal(size=(3, 4)))
+        grads = gcn_backward(model, cond, cache, rng.normal(size=(3, 4)))
+        assert "d_input" not in vars(grads)
+        assert grads.d_input is grads.d_input
+        assert grads.d_input.shape == (3, 4)
 
 
 class TestSerialization:

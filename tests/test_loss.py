@@ -11,7 +11,7 @@ from coocrefine import (
     sigmoid,
 )
 
-from oracles import central_difference
+from oracles import central_difference, masked_sigmoid
 
 
 def ones_params(n, **overrides):
@@ -33,6 +33,11 @@ class TestSigmoid:
         assert np.isfinite(s).all()
         assert s[2] == 0.5
         assert s[0] == 0.0 and s[-1] == 1.0
+
+    def test_bit_identical_to_masked_form(self):
+        specials = [0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300, 745.0, -745.0, np.inf, -np.inf]
+        x = np.concatenate([specials, np.random.default_rng(0).normal(scale=40.0, size=10_000)])
+        assert np.array_equal(sigmoid(x).view(np.int64), masked_sigmoid(x).view(np.int64))
 
     def test_matches_naive_in_moderate_range(self):
         x = np.linspace(-20, 20, 401)

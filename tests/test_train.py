@@ -71,6 +71,28 @@ class TestSgdStep:
         for before, after in zip(model.weights, updated.weights):
             assert np.array_equal(after, before)
 
+    def test_non_finite_update_raises(self):
+        model = init_model((1, 3, 1), seed=0)
+        grads = GcnGradients(tuple(np.full_like(w, 1e300) for w in model.weights), np.zeros((1, 2)))
+        with np.errstate(over="ignore"), pytest.raises(NumericError, match="training diverged"):
+            sgd_step(model, grads, lr=1e10)
+
+    def test_shape_mismatch_raises(self):
+        model = init_model((1, 3, 1), seed=0)
+        grads = GcnGradients((np.ones((1, 3)), np.ones((1, 3))), np.zeros((1, 2)))
+        with pytest.raises(ValidationError, match="shape"):
+            sgd_step(model, grads, lr=1.0)
+
+    def test_returns_a_new_model_with_read_only_weights(self):
+        model = init_model((1, 3, 1), seed=0)
+        grads = GcnGradients(tuple(np.ones_like(w) for w in model.weights), np.zeros((1, 2)))
+        updated, _ = sgd_step(model, grads, lr=0.5, momentum=0.9)
+        assert updated is not model and updated.layer_dims == model.layer_dims
+        for w in updated.weights:
+            assert w.dtype == np.float64 and w.flags.c_contiguous
+            with pytest.raises(ValueError, match="read-only"):
+                w[0, 0] = 0.0
+
     def test_momentum_unrolls_to_expected_displacement(self):
         model = init_model((1, 1), seed=0)
         start = model.weights[0].copy()
