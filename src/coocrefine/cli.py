@@ -12,14 +12,17 @@ Every subcommand writes ``<subcommand>_manifest.json`` next to its
 outputs, recording the tool version, the fully resolved configuration,
 SHA-256 digests of all inputs, and the produced file names. Re-running a
 subcommand with ``--config <manifest>`` reproduces its outputs byte for
-byte.
+byte; an input path it takes from the manifest must still hash to the
+recorded digest.
 
 Flag precedence: explicit flag > --config file value > built-in default.
 A config file is a flat JSON object keyed by flag names (dashes as
 underscores); a manifest file is accepted anywhere a config file is.
+Values from flags and from config files are checked and converted alike.
 
-Exit codes: 0 success, 1 validation/input error, 2 runtime or numeric
-failure.
+Exit codes: 0 success, 1 validation/input error (a bad option value
+included), 2 runtime or numeric failure or a command line argparse cannot
+parse.
 """
 
 from __future__ import annotations
@@ -190,37 +193,48 @@ def _flag(name: str) -> str:
 # config resolution and manifests
 # ---------------------------------------------------------------------------
 
-def _load_config_file(path) -> dict:
+def _load_config_file(path) -> tuple[dict, dict]:
+    """The config's values, and the inputs a manifest records (none for a plain config)."""
     try:
         raw = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
+    inputs = {}
     if "subcommand" in raw and "config" in raw:
-        raw = raw["config"]        # a manifest doubles as a config file
+        # a manifest doubles as a config file
+        raw, inputs = raw["config"], raw.get("inputs", {})
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: manifest config must be a JSON object")
+        if not (isinstance(inputs, dict) and all(isinstance(e, dict) for e in inputs.values())):
+            raise ValidationError(f"{path}: manifest inputs must map each input to its path and sha256")
     raw.pop("threads", None)       # older manifests record a since-removed no-op flag
-    return raw
+    return raw, inputs
 
 
-def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
+def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace, dict]:
     """Merge flag > config file > default, per documented precedence.
 
-    Returns the values as given, which the manifest records, and the same
-    values converted by their options' types.
+    A flag's text and a config file's value pass the same checks and
+    conversion. Returns the values the manifest records (a number given as
+    a flag as that number, anything else as given), the same values
+    converted by their options' types, and the input records of a manifest
+    for each input path taken from it.
     """
     options = _options(args.subcommand)
-    file_cfg = _load_config_file(args.config) if args.config else {}
+    file_cfg, file_inputs = _load_config_file(args.config) if args.config else ({}, {})
     unknown = set(file_cfg) - set(options)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved, typed = {}, {}
+    resolved, typed, recorded = {}, {}, {}
     for name, opt in options.items():
         value = getattr(args, name)
-        if value is None:
+        flagged = value is not None
+        if not flagged:
             value = file_cfg.get(name, opt.default)
+            if name in file_cfg and name in file_inputs:
+                recorded[name] = file_inputs[name]
         if opt.choices and value not in opt.choices:
             raise ValidationError(f"invalid {_flag(name)} '{value}' (one of {opt.choices})")
         if _wrong_kind(value, opt.type):
@@ -229,8 +243,8 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace]:
             typed[name] = None if value is None else opt.type(value)
         except (TypeError, ValueError):
             raise ValidationError(f"invalid {_flag(name)} '{value}'") from None
-        resolved[name] = value
-    return resolved, SimpleNamespace(**typed)
+        resolved[name] = typed[name] if flagged and opt.type in (int, float) else value
+    return resolved, SimpleNamespace(**typed), recorded
 
 
 def _fill(cls, values: SimpleNamespace):
@@ -262,18 +276,25 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _hash_inputs(out: Path, subcommand: str, inputs: dict, outputs, refined_out=None):
+def _hash_inputs(out: Path, subcommand: str, inputs: dict, outputs, recorded: dict,
+                 refined_out=None):
     """Path and SHA-256 of every input, taken before any output is written.
 
     An output under ``out``, the manifest included, that is an input file
-    exits 1 before anything is written.
+    exits 1 before anything is written, and so does an input taken from a
+    manifest whose SHA-256 differs from the one it ``recorded``.
     """
     for name in (*outputs, f"{subcommand}_manifest.json"):
         flag = "refined_out" if name == refined_out else "out_dir"
         for role, path in inputs.items():
             if (out / name).exists() and os.path.samefile(out / name, path):
                 raise ValidationError(f"{_flag(flag)} would overwrite the {_flag(role)} input {path}")
-    return {role: {"path": str(p), "sha256": _sha256(p)} for role, p in inputs.items()}
+    hashed = {role: {"path": str(p), "sha256": _sha256(p)} for role, p in inputs.items()}
+    for role, entry in recorded.items():
+        if role in hashed and entry.get("sha256") != hashed[role]["sha256"]:
+            raise ValidationError(f"{_flag(role)} input {inputs[role]} differs from the one "
+                                  "its manifest records (SHA-256 mismatch)")
+    return hashed
 
 
 def _write_manifest(out: Path, subcommand: str, resolved: dict, inputs: dict, outputs):
@@ -290,13 +311,11 @@ def _write_manifest(out: Path, subcommand: str, resolved: dict, inputs: dict, ou
     (out / f"{subcommand}_manifest.json").write_text(text, encoding="utf-8")
 
 
-def _write_prior_files(out: Path, labels):
-    cooc = cooccurrence(labels)
+def _write_prior_files(out: Path, labels, cooc, cond) -> None:
     names = labels.class_names
-    for name, matrix in (("C.csv", cooc.counts), ("A.csv", conditional_prob(cooc).probs)):
+    for name, matrix in (("C.csv", cooc.counts), ("A.csv", cond.probs)):
         rows = ((cls, *row) for cls, row in zip(names, matrix.tolist()))
         write_table(out / name, ("class", *names), rows)
-    return cooc
 
 
 def _write_alpha(out: Path, weights, names) -> None:
@@ -304,25 +323,20 @@ def _write_alpha(out: Path, weights, names) -> None:
 
 
 def _load_cond_prob(path, labels) -> CondProbMatrix:
-    """Read an A.csv whose header and row labels are the labels' class names, in order.
-
-    Zero-count bookkeeping is not stored in the CSV; propagation only
-    needs the matrix itself.
-    """
+    """Read an A.csv whose header and row labels are the labels' class names, in order."""
     names = labels.class_names
     cells = partial(finite_cells, what="conditional probability")
     _, _, matrix = read_table(path, "class", cells, names, names)
     try:
-        return CondProbMatrix(matrix, frozenset())
+        return CondProbMatrix(matrix)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def _refine(values, labels, logits, inputs: dict) -> tuple[CondProbMatrix, np.ndarray]:
+def _refine(values, labels, logits) -> tuple[CondProbMatrix, np.ndarray]:
     """Refine ``logits`` with the --model head over the --cond-prob prior."""
     cond = _load_cond_prob(values.cond_prob, labels)
     refined, _ = gcn_forward(load_model(values.model), cond, logits.values)
-    inputs.update(model=values.model, cond_prob=values.cond_prob)
     return cond, refined
 
 
@@ -331,7 +345,7 @@ def _refine(values, labels, logits, inputs: dict) -> tuple[CondProbMatrix, np.nd
 # ---------------------------------------------------------------------------
 
 def cmd_synth(args) -> int:
-    resolved, o = _resolve(args)
+    resolved, o, _ = _resolve(args)
     out = _out_dir(o.out_dir)
     if len(o.signal_strength) == 1:
         o.signal_strength *= o.n_classes
@@ -346,13 +360,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_prior(args) -> int:
-    resolved, o = _resolve(args)
+    resolved, o, recorded = _resolve(args)
     _require(resolved, "labels")
     out = _out_dir(o.out_dir)
     labels = load_labels(o.labels)
     outputs = ["C.csv", "A.csv", "alpha.csv"]
-    inputs = _hash_inputs(out, "prior", {"labels": o.labels}, outputs)
-    cooc = _write_prior_files(out, labels)
+    inputs = _hash_inputs(out, "prior", {"labels": o.labels}, outputs, recorded)
+    cooc = cooccurrence(labels)
+    _write_prior_files(out, labels, cooc, conditional_prob(cooc))
     _write_alpha(out, reweighting(cooc, o.reweight_mode), labels.class_names)
     _write_manifest(out, "prior", resolved, inputs, outputs)
     print(f"wrote {', '.join(outputs)} to {out}")
@@ -360,10 +375,11 @@ def cmd_prior(args) -> int:
 
 
 def cmd_train(args) -> int:
-    resolved, o = _resolve(args)
+    resolved, o, recorded = _resolve(args)
     _require(resolved, "labels", "logits")
     if (o.val_labels is None) != (o.val_logits is None):
         raise ValidationError("--val-labels and --val-logits must be given together")
+    config = _fill(TrainConfig, o)
     out = _out_dir(o.out_dir)
 
     labels = load_labels(o.labels)
@@ -375,13 +391,12 @@ def cmd_train(args) -> int:
         validation = (val_labels, load_logits(o.val_logits, val_labels))
         inputs.update(val_labels=o.val_labels, val_logits=o.val_logits)
     outputs = ["C.csv", "A.csv", "alpha.csv", "model.txt", "history.csv"]
-    inputs = _hash_inputs(out, "train", inputs, outputs)
+    inputs = _hash_inputs(out, "train", inputs, outputs, recorded)
 
-    config = _fill(TrainConfig, o)
-    model, weights, _, history = train(labels, logits, config, validation)
+    model, weights, cond, history = train(labels, logits, config, validation)
 
     save_model(model, out / "model.txt")
-    _write_prior_files(out, labels)
+    _write_prior_files(out, labels, cooccurrence(labels), cond)
     _write_alpha(out, weights, labels.class_names)
     write_table(out / "history.csv", ("epoch", "loss", "lr", "val_mAP"), (
         (rec.epoch, rec.mean_loss, rec.lr, "" if rec.val_map is None else rec.val_map)
@@ -418,7 +433,7 @@ def _metrics_block(report, names) -> dict:
 
 
 def cmd_eval(args) -> int:
-    resolved, o = _resolve(args)
+    resolved, o, recorded = _resolve(args)
     _require(resolved, "labels", "logits")
     if (o.model is None) != (o.cond_prob is None):
         raise ValidationError("--model and --cond-prob must be given together")
@@ -435,7 +450,7 @@ def cmd_eval(args) -> int:
     labels = load_labels(o.labels)
     logits = load_logits(o.logits, labels)
     inputs = {"labels": o.labels, "logits": o.logits}
-    kwargs = {"threshold": None if o.topk is not None else o.threshold, "top_k": o.topk}
+    kwargs = {"threshold": o.threshold, "top_k": o.topk}
 
     report = {
         "tool": _TOOL,
@@ -450,11 +465,12 @@ def cmd_eval(args) -> int:
 
     outputs = ["report.json"]
     if o.model is not None:
-        cond, refined = _refine(o, labels, logits, inputs)
+        cond, refined = _refine(o, labels, logits)
+        inputs.update(model=o.model, cond_prob=o.cond_prob)
         outputs.append("per_class.csv")
     if o.refined_out is not None:
         outputs.append(o.refined_out)
-    inputs = _hash_inputs(out, "eval", inputs, outputs, o.refined_out)
+    inputs = _hash_inputs(out, "eval", inputs, outputs, recorded, o.refined_out)
 
     if o.model is not None:
         refined_report = evaluate(refined, labels, **kwargs)
@@ -486,7 +502,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    resolved, o = _resolve(args)
+    resolved, o, recorded = _resolve(args)
     _require(resolved, "labels", "cond_prob")
     given = tuple(k for k in ("before", "after", "model", "logits") if getattr(o, k) is not None)
     if given not in (("before", "after"), ("model", "logits")):
@@ -503,14 +519,14 @@ def cmd_analyze(args) -> int:
         inputs.update(before=o.before, after=o.after)
     else:
         logits = load_logits(o.logits, labels)
-        cond, after = _refine(o, labels, logits, inputs)
+        cond, after = _refine(o, labels, logits)
         before = logits.values
-        inputs["logits"] = o.logits
+        inputs.update(model=o.model, logits=o.logits)
 
-    inputs = _hash_inputs(out, "analyze", inputs, ["bins.csv"])
-    ap_before, excluded_b = per_class_average_precision(before, labels.values)
-    ap_after, excluded_a = per_class_average_precision(after, labels.values)
-    excluded = sorted(set(excluded_b) | set(excluded_a))
+    inputs = _hash_inputs(out, "analyze", inputs, ["bins.csv"], recorded)
+    # both sides score the same labels, so they exclude the same classes
+    ap_before, excluded = per_class_average_precision(before, labels.values)
+    ap_after, _ = per_class_average_precision(after, labels.values)
     result = delta_ap_analysis(
         ap_before, ap_after, cond, k=o.k, bin_size=o.bin_size, exclude=excluded
     )
@@ -543,9 +559,9 @@ def build_parser() -> argparse.ArgumentParser:
                 p.add_argument(_flag(opt.name), action=argparse.BooleanOptionalAction,
                                help=opt.help)
             else:
-                # list-valued options keep their text until _resolve parses them
-                p.add_argument(_flag(opt.name), help=opt.help, choices=opt.choices or None,
-                               type=opt.type if opt.type in (int, float) else None)
+                # the text is kept as given; _resolve checks and converts it
+                p.add_argument(_flag(opt.name), help=opt.help,
+                               metavar="{" + ",".join(opt.choices) + "}" if opt.choices else None)
         p.add_argument("--config", help="JSON config file or a previously written manifest")
     return parser
 

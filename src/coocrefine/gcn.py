@@ -81,6 +81,7 @@ separated, floats written with shortest round-trip repr:
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -96,12 +97,24 @@ from .seeding import STREAM_INIT, rng_for
 MODEL_FORMAT_HEADER = "coocrefine-gcn v1"
 
 
+def _widths(dims) -> tuple[int, ...]:
+    """``dims`` as ints, if they are a head's widths: at least two, the first
+    and last 1 (one logit in and out per class node), none below 1."""
+    dims = tuple(int(d) for d in dims)
+    if len(dims) < 2:
+        raise ValidationError("need at least one layer")
+    if dims[0] != 1 or dims[-1] != 1:
+        raise ValidationError("first and last layer widths must be 1")
+    if min(dims) < 1:
+        raise ValidationError("layer widths must be positive")
+    return dims
+
+
 @dataclass(frozen=True)
 class GcnModel:
     """Stack of per-layer weight matrices plus architecture metadata.
 
-    ``layer_dims`` lists per-node feature widths, starting and ending at 1
-    (one scalar logit in and out per class node).
+    ``layer_dims`` lists per-node feature widths (see ``_widths``).
     """
 
     layer_dims: tuple[int, ...]
@@ -110,14 +123,8 @@ class GcnModel:
     final_nonlinearity: bool = False
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.layer_dims)
+        dims = _widths(self.layer_dims)
         object.__setattr__(self, "layer_dims", dims)
-        if len(dims) < 2:
-            raise ValidationError("need at least one layer")
-        if dims[0] != 1 or dims[-1] != 1:
-            raise ValidationError("first and last layer widths must be 1")
-        if any(d < 1 for d in dims):
-            raise ValidationError("layer widths must be positive")
         if len(self.weights) != len(dims) - 1:
             raise ValidationError("weight count does not match layer_dims")
         frozen = []
@@ -144,7 +151,7 @@ class GcnGradients:
     """Gradients w.r.t. every weight matrix and, when first read, the input logits."""
 
     d_weights: tuple[np.ndarray, ...]
-    input_grad: object              # d_input (batch, N), or a function computing it
+    input_grad: Callable[[], np.ndarray]    # computes d_input, (batch, N)
 
     def __post_init__(self):
         object.__setattr__(self, "d_weights", tuple(self.d_weights))
@@ -154,7 +161,7 @@ class GcnGradients:
 
     @cached_property
     def d_input(self) -> np.ndarray:
-        d_input = self.input_grad() if callable(self.input_grad) else self.input_grad
+        d_input = self.input_grad()
         if not np.isfinite(d_input).all():
             raise NumericError("non-finite input gradient")
         return d_input
@@ -165,20 +172,14 @@ class GcnCache:
     """Forward intermediates needed by the backward pass.
 
     Arrays are node-major, ``(N, batch, width)``. Layer 1's pre-activation
-    ``a ⊗ w1`` stays factored and is built only when ``pre_acts`` is read.
+    ``a ⊗ w1`` stays factored and is never built.
     """
 
     model: GcnModel                         # the forward's model, by reference
     prop: np.ndarray                        # its P, cond.propagation, by reference
     first_input: np.ndarray                 # a = P h0 per sample, (N, batch)
     signals: tuple[np.ndarray, ...]         # per layer >= 2: P F, or F if it propagates after mixing
-    later_pre_acts: tuple[np.ndarray, ...]  # Z_l per layer >= 2, (N, batch, d_l)
-
-    @property
-    def pre_acts(self) -> tuple[np.ndarray, ...]:
-        """Pre-activation Z_l of every layer, each ``(batch, N, d_l)``."""
-        first = self.first_input[:, :, None] * self.model.weights[0][0]
-        return tuple(z.transpose(1, 0, 2) for z in (first,) + self.later_pre_acts)
+    later_zs: tuple[np.ndarray, ...]        # pre-activation Z_l per layer >= 2, (N, batch, d_l)
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,6 @@ class HeadSectors:
 class SectorCache:
     """Forward intermediates of a three-weight-layer head, each ``(N, batch)``
     except ``propagated`` (``(N, 2 batch)``) and the model's sector table.
-    ``pre_acts`` builds every layer's pre-activation from them on demand.
     """
 
     model: GcnModel                 # the forward's model, by reference
@@ -213,18 +213,6 @@ class SectorCache:
     last_pre_act: np.ndarray        # Z_3 = P g
     sectors: HeadSectors
     first_layer: tuple[np.ndarray, np.ndarray]     # _first_layer(model)
-
-    @property
-    def pre_acts(self) -> tuple[np.ndarray, ...]:
-        """Pre-activation Z_l of every layer, each ``(batch, N, d_l)``."""
-        q_pos, q_neg = np.hsplit(self.propagated, 2)
-        factors = self.sectors.factors
-        zs = (
-            self.first_input[:, :, None] * self.model.weights[0][0],
-            q_pos[:, :, None] * factors[0] + q_neg[:, :, None] * factors[1],
-            self.last_pre_act[:, :, None],
-        )
-        return tuple(z.transpose(1, 0, 2) for z in zs)
 
 
 def init_model(
@@ -237,9 +225,7 @@ def init_model(
 
     Layer l's entries are i.i.d. uniform in +-sqrt(6 / (d_{l-1} + d_l)).
     """
-    dims = tuple(int(d) for d in layer_dims)
-    if len(dims) < 2 or dims[0] != 1 or dims[-1] != 1:
-        raise ValidationError("layer_dims must start and end with width 1")
+    dims = _widths(layer_dims)
     rng = rng_for(seed, STREAM_INIT)
     weights = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
@@ -378,7 +364,7 @@ def _layer_forward(
     # the signal entering each layer is f @ u, with u None once it is dense
     f, u = _split(a), rows[:2]
     signals = []
-    pre_acts = []
+    zs = []
     for l in range(1, model.n_layers):
         with np.errstate(over="ignore", invalid="ignore"):
             v = model.weights[l] if u is None else u @ model.weights[l]
@@ -392,12 +378,12 @@ def _layer_forward(
         if not np.isfinite(z).all():
             raise NumericError(f"non-finite value at layer {l + 1}")
         signals.append(m)
-        pre_acts.append(z)
+        zs.append(z)
         f = _leaky(z, model.leaky_slope) if _activated(model, l) else z
         u = None
     with np.errstate(over="ignore", invalid="ignore"):
         h = f if u is None else _mix(f, u)
-    return h[:, :, 0], GcnCache(model, prop, a, tuple(signals), tuple(pre_acts))
+    return h[:, :, 0], GcnCache(model, prop, a, tuple(signals), tuple(zs))
 
 
 def gcn_forward(
@@ -463,7 +449,7 @@ def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
     for l in range(n_layers - 1, 0, -1):
         w = model.weights[l]
         if _activated(model, l):
-            g = g * _dleaky(cache.later_pre_acts[l - 1], model.leaky_slope)
+            g = g * _dleaky(cache.later_zs[l - 1], model.leaky_slope)
         m = cache.signals[l - 1]
         # layer 2 reads H_1 = F @ [u+; u-]; the extra row w1 gives dL/da at a == 0
         v = w if l > 1 else rows @ w
@@ -570,9 +556,7 @@ def load_model(path) -> GcnModel:
     if lines[:1] != [MODEL_FORMAT_HEADER]:
         raise ValidationError(f"{path}: bad model file: expected header '{MODEL_FORMAT_HEADER}'")
     try:
-        dims = tuple(int(t) for t in tokens("layer_dims"))
-        if any(d < 1 for d in dims):
-            raise ValueError("layer widths must be positive")
+        dims = _widths(int(t) for t in tokens("layer_dims"))
         slope = float(tokens("leaky_slope", 1)[0])
         final = tokens("final_nonlinearity")[:1]
         if final not in (["0"], ["1"]):

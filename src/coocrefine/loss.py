@@ -20,6 +20,7 @@ bit for bit the two-branch stable form, without boolean-mask indexing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,9 @@ class RaslParams:
     eps: float = 1e-8
 
     def __post_init__(self):
-        if self.gamma_pos < 0 or self.gamma_neg < 0:
-            raise ValidationError("focusing exponents must be non-negative")
+        for name in ("gamma_pos", "gamma_neg"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValidationError(f"{name} must be finite and non-negative")
         if not 0.0 <= self.delta < 1.0:
             raise ValidationError("delta must be in [0, 1)")
         if not 0.0 < self.eps <= 1e-4:

@@ -52,13 +52,11 @@ class CondProbMatrix:
 
     Rows of classes never seen in training cannot be normalized; they are
     set to the identity row (probability 1 on the class itself, 0
-    elsewhere) and recorded in ``zero_count_classes``. Under identity
-    rows, graph propagation degrades to self-propagation for such
-    classes instead of producing NaNs.
+    elsewhere). Under identity rows, graph propagation degrades to
+    self-propagation for such classes instead of producing NaNs.
     """
 
     probs: np.ndarray               # (N, N) float64 in [0, 1]
-    zero_count_classes: frozenset[int]
 
     def __post_init__(self):
         probs = frozen_array(self.probs, np.float64)
@@ -71,7 +69,6 @@ class CondProbMatrix:
         if not np.allclose(probs.diagonal(), 1.0):
             raise ValidationError("diagonal conditional probabilities must be 1")
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "zero_count_classes", frozenset(int(i) for i in self.zero_count_classes))
 
     @property
     def n_classes(self) -> int:
@@ -139,18 +136,14 @@ def conditional_prob(cooc: CoocMatrix) -> CondProbMatrix:
     """Normalize each co-occurrence row by its diagonal count.
 
     Entry (m, n) estimates the probability that class n is present given
-    class m is. Zero-count rows become identity rows and are recorded.
+    class m is. Zero-count rows become identity rows.
     """
-    counts = cooc.counts
-    diag = counts.diagonal().astype(np.float64)
-    zero = diag == 0
-    safe = np.where(zero, 1.0, diag)
-    probs = counts / safe[:, None]
-    if zero.any():
-        zero_idx = np.flatnonzero(zero)
-        probs[zero_idx, :] = 0.0
-        probs[zero_idx, zero_idx] = 1.0
-    return CondProbMatrix(probs, frozenset(int(i) for i in np.flatnonzero(zero)))
+    diag = cooc.counts.diagonal()
+    zero = np.flatnonzero(diag == 0)
+    probs = cooc.counts / np.maximum(diag, 1.0)[:, None]
+    probs[zero, :] = 0.0
+    probs[zero, zero] = 1.0
+    return CondProbMatrix(probs)
 
 
 def reweighting(cooc: CoocMatrix, mode: str = "frequency") -> ReweightVector:

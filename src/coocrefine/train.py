@@ -24,9 +24,9 @@ import numpy as np
 
 from .data import LabelMatrix, LogitMatrix, batches
 from .errors import NumericError, ValidationError
-from .gcn import GcnModel, gcn_backward, gcn_forward, init_model
+from .gcn import GcnModel, _widths, gcn_backward, gcn_forward, init_model
 from .loss import RaslParams, rasl_grad, rasl_loss
-from .metrics import per_class_average_precision
+from .metrics import evaluate
 from .prior import (
     REWEIGHT_MODES,
     CondProbMatrix,
@@ -61,13 +61,16 @@ class TrainConfig:
     reweight_mode: str = _hp("frequency", "per-class loss weights", REWEIGHT_MODES)
 
     def __post_init__(self):
-        object.__setattr__(self, "gcn_dims", tuple(int(d) for d in self.gcn_dims))
+        try:
+            object.__setattr__(self, "gcn_dims", _widths(self.gcn_dims))
+        except ValidationError as exc:
+            raise ValidationError(f"gcn_dims: {exc}") from None
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ValidationError("batch_size must be >= 1")
-        if not self.lr0 > 0:
-            raise ValidationError("lr0 must be positive")
+        if not 0 < self.lr0 < math.inf:
+            raise ValidationError("lr0 must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
 
@@ -146,9 +149,7 @@ def _unit_mean(weights: ReweightVector) -> ReweightVector:
 
 def _validation_map(model, cond, val_labels, val_logits) -> float:
     refined, _ = gcn_forward(model, cond, val_logits.values)
-    ap, excluded = per_class_average_precision(refined, val_labels.values)
-    included = np.setdiff1d(np.arange(val_labels.n_classes), excluded)
-    return float(ap[included].mean()) if included.size else 0.0
+    return evaluate(refined, val_labels).map
 
 
 def train(

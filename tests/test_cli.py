@@ -489,3 +489,131 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "coocrefine" in proc.stdout
+
+
+def train_argv(labels, logits, out, *extra):
+    return ["train", "--labels", str(labels), "--logits", str(logits), "--epochs", "1",
+            "--gcn-dims", "1,4,1", *extra, "--out-dir", str(out)]
+
+
+@pytest.mark.parametrize("flag, value, setting", [
+    ("--gcn-dims", "1,-1,1", "gcn_dims"),
+    ("--gcn-dims", "1,-3,1", "gcn_dims"),
+    ("--gamma-pos", "nan", "gamma_pos"),
+    ("--gamma-pos", "inf", "gamma_pos"),
+    ("--gamma-neg", "inf", "gamma_neg"),
+    ("--lr0", "inf", "lr0"),
+])
+def test_bad_hyperparameter_exits_1_naming_it(fixtures, capsys, flag, value, setting):
+    tmp_path, labels, logits = fixtures
+    out = tmp_path / "out"
+    assert main(train_argv(labels, logits, out, flag, value)) == 1
+    assert f"error: {setting}" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+class TestOptionValues:
+    """Flag text and config values take one conversion path."""
+
+    @pytest.mark.parametrize("subcommand, key, value", [
+        ("train", "epochs", "abc"),
+        ("train", "epochs", "1.5"),
+        ("train", "lr0", "fast"),
+        ("train", "reweight_mode", "literal"),
+        ("prior", "reweight_mode", "literal"),
+        ("synth", "n_samples", "many"),
+        ("eval", "topk", "two"),
+    ])
+    def test_flag_and_config_give_the_same_error(self, fixtures, capsys, subcommand, key, value):
+        tmp_path, labels, logits = fixtures
+        inputs = {"synth": [], "prior": ["--labels", str(labels)]}.get(
+            subcommand, ["--labels", str(labels), "--logits", str(logits)])
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "out"
+        errors = []
+        for given in ([f"--{key.replace('_', '-')}", value], ["--config", str(config)]):
+            assert main([subcommand, *inputs, *given, "--out-dir", str(out)]) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"--{key.replace('_', '-')} '{value}'" in errors[0]
+        assert not out.exists()
+
+    def test_numbers_given_as_flags_are_recorded_as_numbers(self, fixtures):
+        tmp_path, labels, logits = fixtures
+        out = tmp_path / "out"
+        assert main(train_argv(labels, logits, out, "--lr0", "0.01", "--seed", "3")) == 0
+        config = json.loads((out / "train_manifest.json").read_text())["config"]
+        assert (config["epochs"], config["lr0"], config["seed"]) == (1, 0.01, 3)
+        assert config["gcn_dims"] == "1,4,1"
+
+    def test_help_lists_the_choices(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["prior", "--help"])
+        assert "--reweight-mode {frequency,none}" in capsys.readouterr().out
+
+
+class TestManifestRerunChecksInputs:
+    def test_edited_input_exits_1_and_writes_nothing(self, fixtures, capsys):
+        tmp_path, labels, _ = fixtures
+        run = tmp_path / "run"
+        assert main(["prior", "--labels", str(labels), "--out-dir", str(run)]) == 0
+        written = {p.name: p.read_bytes() for p in run.iterdir()}
+        labels.write_text(LABELS_CSV.replace("c,0,0,1", "c,0,1,1"))
+        assert main(["prior", "--config", str(run / "prior_manifest.json")]) == 1
+        err = capsys.readouterr().err
+        assert "--labels" in err and str(labels) in err
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == written
+
+    def test_input_given_as_flag_is_not_checked(self, fixtures):
+        tmp_path, labels, _ = fixtures
+        run = tmp_path / "run"
+        assert main(["prior", "--labels", str(labels), "--out-dir", str(run)]) == 0
+        labels.write_text(LABELS_CSV.replace("c,0,0,1", "c,0,1,1"))
+        manifest = run / "prior_manifest.json"
+        assert main(["prior", "--config", str(manifest), "--labels", str(labels)]) == 0
+        _, counts = read_matrix_csv(run / "C.csv")
+        assert counts[1, 2] == 1
+
+
+class TestDocumentedExits:
+    def test_numeric_failure_exits_2(self, fixtures, capsys):
+        tmp_path, labels, logits = fixtures
+        assert main(train_argv(labels, logits, tmp_path / "out", "--epochs", "2", "--lr0", "1e160")) == 2
+        assert "numeric failure" in capsys.readouterr().err
+
+    def test_unexpected_failure_exits_2(self, fixtures, capsys, monkeypatch):
+        def broken(args):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(coocrefine.cli, "cmd_prior", broken)
+        tmp_path, labels, _ = fixtures
+        assert main(["prior", "--labels", str(labels), "--out-dir", str(tmp_path)]) == 2
+        assert "unexpected failure: boom" in capsys.readouterr().err
+
+    def test_val_labels_need_val_logits(self, fixtures, capsys):
+        tmp_path, labels, logits = fixtures
+        out = tmp_path / "out"
+        assert main(train_argv(labels, logits, out, "--val-labels", str(labels))) == 1
+        assert "--val-labels and --val-logits" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_needs_cond_prob(self, fixtures, capsys):
+        tmp_path, labels, logits = fixtures
+        save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
+        out = tmp_path / "out"
+        assert main(["eval", "--labels", str(labels), "--logits", str(logits),
+                     "--model", str(tmp_path / "model.txt"), "--out-dir", str(out)]) == 1
+        assert "--model and --cond-prob" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cond_prob_diagonal_not_one_exits_1_naming_it(self, fixtures, capsys):
+        tmp_path, labels, logits = fixtures
+        cond = tmp_path / "A.csv"
+        cond.write_text(A_CSV.replace("c1,1.0,1.0,0.0", "c1,1.0,0.5,0.0"))
+        save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
+        assert main(["eval", "--labels", str(labels), "--logits", str(logits),
+                     "--model", str(tmp_path / "model.txt"), "--cond-prob", str(cond),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert str(cond) in err and "diagonal" in err

@@ -22,11 +22,11 @@ from oracles import central_difference, dense_gcn, gradient_close, stacked_secto
 def random_cond(rng, n):
     probs = rng.random((n, n)) * 0.8
     np.fill_diagonal(probs, 1.0)
-    return CondProbMatrix(probs, frozenset())
+    return CondProbMatrix(probs)
 
 
 def identity_cond(n):
-    return CondProbMatrix(np.eye(n), frozenset())
+    return CondProbMatrix(np.eye(n))
 
 
 def close(got, want):
@@ -37,14 +37,13 @@ def close(got, want):
 def assert_matches_oracle(model, cond, h0, coeffs):
     refined, cache = gcn_forward(model, cond, h0)
     grads = gcn_backward(model, cond, cache, coeffs)
-    want_refined, want_dw, want_input, want_pre_acts = dense_gcn(
+    want_refined, want_dw, want_input, _ = dense_gcn(
         model.weights, model.leaky_slope, model.final_nonlinearity,
         cond.propagation, h0, coeffs,
     )
     assert close(refined, want_refined)
     assert all(close(g, w) for g, w in zip(grads.d_weights, want_dw, strict=True))
     assert close(grads.d_input, want_input)
-    assert all(close(z, w) for z, w in zip(cache.pre_acts, want_pre_acts, strict=True))
     return cache
 
 
@@ -65,6 +64,11 @@ class TestInitModel:
         wide = init_model((1, 64, 1), seed=1)
         assert np.abs(wide.weights[0]).max() <= np.sqrt(6.0 / 65.0)
 
+    @pytest.mark.parametrize("dims", [(1, -1, 1), (1, -3, 1), (1, 0, 1), (1,)], ids=str)
+    def test_width_rule_checked_before_any_draw(self, dims):
+        with pytest.raises(ValidationError):
+            init_model(dims, seed=0)
+
     def test_end_widths_must_be_one(self):
         with pytest.raises(ValidationError):
             init_model((2, 4, 1), seed=0)
@@ -79,7 +83,7 @@ class TestPropagationMatrix:
         assert np.allclose(prop.sum(axis=1), 1.0)
 
     def test_identity_rows_preserved(self):
-        cond = CondProbMatrix(np.eye(4), frozenset({2}))
+        cond = CondProbMatrix(np.eye(4))
         assert np.array_equal(cond.propagation, np.eye(4))
 
     def test_computed_once_and_read_only(self):
@@ -118,7 +122,7 @@ class TestForward:
         probs[m, :] = 0.0
         probs[:, m] = 0.0
         probs[m, m] = 1.0
-        cond = CondProbMatrix(probs, frozenset())
+        cond = CondProbMatrix(probs)
         model = init_model((1, 4, 1), seed=5)
         h0 = rng.normal(size=(2, n))
         base, _ = gcn_forward(model, cond, h0)
@@ -199,7 +203,9 @@ class TestBackward:
 
             refined, cache = gcn_forward(model, cond, h0)
             # FD steps must not flip a LeakyReLU pre-activation sign
-            if min(np.abs(z).min() for z in cache.pre_acts) < 5e-3:
+            *_, pre_acts = dense_gcn(model.weights, model.leaky_slope, model.final_nonlinearity,
+                                     cond.propagation, h0, coeffs)
+            if min(np.abs(z).min() for z in pre_acts) < 5e-3:
                 continue
             checked += 1
             grads = gcn_backward(model, cond, cache, coeffs)
@@ -233,7 +239,7 @@ class TestBackward:
         probs[isolated, :] = 0.0
         probs[:, isolated] = 0.0
         probs[isolated, isolated] = 1.0
-        cond = CondProbMatrix(probs, frozenset())
+        cond = CondProbMatrix(probs)
         h0 = rng.normal(size=(5, n))
         h0[1] = 0.0                     # P @ h0 is 0 on every node
         h0[3, isolated] = 0.0           # and on the isolated node only
@@ -290,7 +296,7 @@ class TestSectorForm:
         # has q+ = 1, q- = -0.5 and t = 2/3. With w1 = (1, -1) and slope 0.5,
         # units 0 and 1 have (A, B) = (1, 2) and (-1, -2): both break at
         # t = 2/3, rising and falling, and their pre-activation there is 0.
-        cond = CondProbMatrix(np.array([[1.0, 0.0], [1.0, 1.0]]), frozenset())
+        cond = CondProbMatrix(np.array([[1.0, 0.0], [1.0, 1.0]]))
         weights = (
             np.array([[1.0, -1.0]]),
             np.array([[0.0, 0.0, 0.75], [-2.0, 2.0, 0.25]]),
@@ -298,8 +304,10 @@ class TestSectorForm:
         )
         model = GcnModel((1, 2, 3, 1), weights, leaky_slope=0.5, final_nonlinearity=final)
         h0 = np.array([[2.0, -4.0], [-1.0, 3.0]])
-        cache = assert_matches_oracle(model, cond, h0, np.array([[0.5, -2.0], [1.5, 1.0]]))
-        assert cache.pre_acts[1][0, 1, :2].tolist() == [0.0, 0.0]
+        coeffs = np.array([[0.5, -2.0], [1.5, 1.0]])
+        cache = assert_matches_oracle(model, cond, h0, coeffs)
+        *_, pre_acts = dense_gcn(weights, 0.5, final, cond.propagation, h0, coeffs)
+        assert pre_acts[1][0, 1, :2].tolist() == [0.0, 0.0]
         tie = cache.sector_ids[1, 0]
         assert cache.sectors.breaks[(tie - 1) // 2] == 2.0 / 3.0
         assert cache.sectors.slopes[tie, :2].tolist() == [1.0, 1.0]
@@ -314,7 +322,7 @@ class TestSectorForm:
         n = 30
         probs = rng.random((n, n)) * (rng.random((n, n)) < 0.3)
         np.fill_diagonal(probs, 1.0)
-        cond = CondProbMatrix(probs, frozenset())
+        cond = CondProbMatrix(probs)
         h0 = rng.normal(size=(6, n))
         h0[2] = 0.0                     # every node in the q+ = q- = 0 sector
         h0[4, h0[4] < 0] = 0.0          # no negative evidence: t == 1
@@ -379,15 +387,15 @@ class TestSectorForm:
 
 class TestGradients:
     def test_non_finite_input_gradient_raises_on_first_read(self):
-        given = GcnGradients((np.ones((1, 1)),), np.array([[1.0, np.nan]]))
-        computed = GcnGradients((np.ones((1, 1)),), lambda: np.array([[np.inf]]))
-        for grads in (given, computed):
+        nan = GcnGradients((np.ones((1, 1)),), lambda: np.array([[1.0, np.nan]]))
+        inf = GcnGradients((np.ones((1, 1)),), lambda: np.array([[np.inf]]))
+        for grads in (nan, inf):
             with pytest.raises(NumericError, match="input gradient"):
                 grads.d_input
 
     def test_non_finite_weight_gradient_raises_at_once(self):
         with pytest.raises(NumericError, match="weight gradient"):
-            GcnGradients((np.array([[np.nan]]),), np.zeros((1, 2)))
+            GcnGradients((np.array([[np.nan]]),), lambda: np.zeros((1, 2)))
 
     @pytest.mark.parametrize("dims", [(1, 4, 4, 1), (1, 3, 4, 5, 1)], ids=str)
     def test_backward_computes_input_gradient_once_when_read(self, dims):
@@ -450,6 +458,12 @@ class TestSerialization:
         lines[lineno - 1] = text
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=f"model.txt: bad model file: {fragment}"):
+            load_model(path)
+
+    def test_model_file_widths_follow_the_width_rule(self, tmp_path):
+        path = tmp_path / "model.txt"
+        path.write_text("coocrefine-gcn v1\nlayer_dims 2 1\n")
+        with pytest.raises(ValidationError, match="model.txt: bad model file: line 2: first and last"):
             load_model(path)
 
     def test_missing_file_named(self, tmp_path):

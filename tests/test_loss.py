@@ -111,6 +111,12 @@ class TestRaslLoss:
         with pytest.raises(ValidationError):
             RaslParams(alphas=ReweightVector(np.ones(2), "none"), eps=1e-3)
 
+    @pytest.mark.parametrize("name", ["gamma_pos", "gamma_neg"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
+    def test_focusing_exponents_must_be_finite_and_non_negative(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite"):
+            RaslParams(alphas=ReweightVector(np.ones(2), "none"), **{name: value})
+
 
 class TestRaslGrad:
     def test_zero_below_margin(self):

@@ -133,7 +133,7 @@ class TestEvaluate:
 
 class TestDeltaApAnalysis:
     def cond(self, probs):
-        return CondProbMatrix(np.asarray(probs, dtype=float), frozenset())
+        return CondProbMatrix(np.asarray(probs, dtype=float))
 
     def uniform_cond(self, n, off=0.3):
         probs = np.full((n, n), off)

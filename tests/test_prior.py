@@ -57,7 +57,6 @@ class TestConditionalProb:
         cooc = cooccurrence(labels_from([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))
         cond = conditional_prob(cooc)
         assert cond.probs.tolist() == [[1.0, 0.5, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]]
-        assert cond.zero_count_classes == frozenset()
 
     def test_diagonal_is_one_for_observed_classes(self):
         cooc = cooccurrence(labels_from([[1, 1], [1, 0], [0, 1]]))
@@ -66,12 +65,11 @@ class TestConditionalProb:
     def test_zero_count_class_becomes_identity_row(self):
         cond = conditional_prob(cooccurrence(labels_from([[1, 0], [1, 0]])))
         assert cond.probs[1].tolist() == [0.0, 1.0]
-        assert cond.zero_count_classes == frozenset({1})
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_entry_rejected(self, bad):
         with pytest.raises(ValidationError, match="finite"):
-            CondProbMatrix(np.array([[1.0, bad], [0.5, 1.0]]), frozenset())
+            CondProbMatrix(np.array([[1.0, bad], [0.5, 1.0]]))
 
     def test_matches_brute_force(self):
         rng = np.random.default_rng(1)
@@ -142,7 +140,7 @@ class TestReweighting:
 
 class TestTopKMeanCondProb:
     def cond(self, rows):
-        return CondProbMatrix(np.array(rows, dtype=float), frozenset())
+        return CondProbMatrix(np.array(rows, dtype=float))
 
     def test_equal_off_diagonals(self):
         cond = self.cond([[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]])

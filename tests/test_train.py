@@ -56,7 +56,7 @@ class TestSgdStep:
     def test_plain_step(self):
         model = init_model((1, 3, 1), seed=0)
         grads = GcnGradients(
-            tuple(np.ones_like(w) for w in model.weights), np.zeros((1, 2))
+            tuple(np.ones_like(w) for w in model.weights), lambda: np.zeros((1, 2))
         )
         updated, _ = sgd_step(model, grads, lr=1.0, momentum=0.0)
         for before, after in zip(model.weights, updated.weights):
@@ -65,7 +65,7 @@ class TestSgdStep:
     def test_zero_lr_is_identity(self):
         model = init_model((1, 3, 1), seed=0)
         grads = GcnGradients(
-            tuple(np.ones_like(w) for w in model.weights), np.zeros((1, 2))
+            tuple(np.ones_like(w) for w in model.weights), lambda: np.zeros((1, 2))
         )
         updated, _ = sgd_step(model, grads, lr=0.0, momentum=0.0)
         for before, after in zip(model.weights, updated.weights):
@@ -73,19 +73,21 @@ class TestSgdStep:
 
     def test_non_finite_update_raises(self):
         model = init_model((1, 3, 1), seed=0)
-        grads = GcnGradients(tuple(np.full_like(w, 1e300) for w in model.weights), np.zeros((1, 2)))
+        grads = GcnGradients(
+            tuple(np.full_like(w, 1e300) for w in model.weights), lambda: np.zeros((1, 2))
+        )
         with np.errstate(over="ignore"), pytest.raises(NumericError, match="training diverged"):
             sgd_step(model, grads, lr=1e10)
 
     def test_shape_mismatch_raises(self):
         model = init_model((1, 3, 1), seed=0)
-        grads = GcnGradients((np.ones((1, 3)), np.ones((1, 3))), np.zeros((1, 2)))
+        grads = GcnGradients((np.ones((1, 3)), np.ones((1, 3))), lambda: np.zeros((1, 2)))
         with pytest.raises(ValidationError, match="shape"):
             sgd_step(model, grads, lr=1.0)
 
     def test_returns_a_new_model_with_read_only_weights(self):
         model = init_model((1, 3, 1), seed=0)
-        grads = GcnGradients(tuple(np.ones_like(w) for w in model.weights), np.zeros((1, 2)))
+        grads = GcnGradients(tuple(np.ones_like(w) for w in model.weights), lambda: np.zeros((1, 2)))
         updated, _ = sgd_step(model, grads, lr=0.5, momentum=0.9)
         assert updated is not model and updated.layer_dims == model.layer_dims
         for w in updated.weights:
@@ -96,7 +98,7 @@ class TestSgdStep:
     def test_momentum_unrolls_to_expected_displacement(self):
         model = init_model((1, 1), seed=0)
         start = model.weights[0].copy()
-        grads = GcnGradients((np.ones((1, 1)),), np.zeros((1, 2)))
+        grads = GcnGradients((np.ones((1, 1)),), lambda: np.zeros((1, 2)))
         model, velocity = sgd_step(model, grads, lr=1.0, momentum=0.9)
         model, velocity = sgd_step(model, grads, lr=1.0, momentum=0.9, velocity=velocity)
         # v1 = 1, v2 = 0.9 + 1 -> total displacement 2.9
@@ -181,6 +183,17 @@ class TestTrain:
             TrainConfig(lr0=0.0)
         with pytest.raises(ValidationError):
             TrainConfig(momentum=1.0)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"lr0": float("inf")}, "lr0 must be positive and finite"),
+        ({"lr0": float("nan")}, "lr0 must be positive and finite"),
+        ({"gcn_dims": (1, -3, 1)}, "gcn_dims: layer widths must be positive"),
+        ({"gcn_dims": (1, 4, 2)}, "gcn_dims: first and last layer widths must be 1"),
+        ({"gcn_dims": (1,)}, "gcn_dims: need at least one layer"),
+    ])
+    def test_config_names_the_bad_setting(self, fields, message):
+        with pytest.raises(ValidationError, match=message):
+            TrainConfig(**fields)
 
 
 def test_history_loss_values_are_finite():
