@@ -62,8 +62,10 @@ gradient ``GcnGradients.d_input`` is computed, and finiteness-checked,
 when first read, so training, which never reads it, never computes it.
 Forward and backward are pure functions of their inputs and bitwise
 deterministic.
-A forward cache belongs to the model and the prior that made it: it holds
-that very ``GcnModel`` and that ``cond.propagation`` array, and the
+What follows from the weights alone, layer 1's rows and the sector table,
+belongs to the model: a ``GcnModel`` builds each once, when first read,
+and keeps it. A forward cache holds only the arrays of its batch, plus
+the very ``GcnModel`` and ``cond.propagation`` array that made it; the
 backward pass rejects any other pairing with ValidationError.
 
 Model file format (version ``coocrefine-gcn v1``), all tokens space
@@ -110,6 +112,12 @@ def _widths(dims) -> tuple[int, ...]:
     return dims
 
 
+def _check_slope(slope) -> None:
+    """The LeakyReLU slope rule: strictly between 0 and 1."""
+    if not 0.0 < slope < 1.0:
+        raise ValidationError("leaky_slope must be in (0, 1)")
+
+
 @dataclass(frozen=True)
 class GcnModel:
     """Stack of per-layer weight matrices plus architecture metadata.
@@ -138,12 +146,50 @@ class GcnModel:
                 raise ValidationError(f"layer {l + 1} weights contain non-finite values")
             frozen.append(w)
         object.__setattr__(self, "weights", tuple(frozen))
-        if not 0.0 < self.leaky_slope < 1.0:
-            raise ValidationError("leaky_slope must be in (0, 1)")
+        _check_slope(self.leaky_slope)
 
     @property
     def n_layers(self) -> int:
         return len(self.weights)
+
+    @cached_property
+    def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
+        """Rows ``[u+; u-; w1]`` of layer 1 and the slopes ``[d+; d-]``.
+
+        ``H_1 = a+ ⊗ u+ + a- ⊗ u-`` with ``u± = w1 * d±``; the row ``w1``
+        carries the gradient where ``a == 0``.
+        """
+        w1 = self.weights[0][0]
+        slopes = _dleaky(_SIGNS * w1, self.leaky_slope if _activated(self, 0) else 1.0)
+        return np.concatenate([w1 * slopes, self.weights[0]]), slopes
+
+    @cached_property
+    def sectors(self) -> HeadSectors:
+        """Sector table of a three-weight-layer head, built on first read."""
+        if self.n_layers != 3:
+            raise ValidationError(f"a sector table needs 3 weight layers, not {self.n_layers}")
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            factors = self.first_layer[0] @ self.weights[1]
+            if not np.isfinite(factors).all():
+                raise NumericError("non-finite value at layer 2")
+            pos, neg = factors[0], factors[1]
+            total = pos + neg
+            t = np.where(total != 0, neg / total, -1.0)
+            inside = (0.0 <= t) & (t <= 1.0)
+            breaks = np.sort(t[inside])
+            breaks = breaks[np.diff(breaks, append=2.0) != 0]       # the distinct ones
+            at = 2 * np.searchsorted(breaks, t) + 1         # the sector of each unit's breakpoint
+            last = 2 * breaks.size
+            # unit k has slope 1 where q+ A_k + q- B_k >= 0: from its breakpoint on if
+            # A_k + B_k > 0, up to it if A_k + B_k < 0 (so B_k <= 0); with no
+            # breakpoint in [0, 1] it has the sign of -B_k throughout
+            lo = np.where(inside & (total > 0), at, np.where(neg > 0, last + 1, 0))
+            hi = np.where(inside & (total < 0), at, last)
+            # the last row is the zero sector: its test 0 <= hi gives every unit slope 1
+            s = np.arange(last + 2)[:, None]
+            slopes = np.where((lo <= s) & (s % (last + 1) <= hi), 1.0, self.leaky_slope)
+            coeffs = slopes @ (factors * self.weights[2][:, 0]).T
+        return HeadSectors(factors, breaks, slopes, coeffs)
 
 
 @dataclass(frozen=True)
@@ -184,7 +230,8 @@ class GcnCache:
 
 @dataclass(frozen=True)
 class HeadSectors:
-    """Sector table of a three-weight-layer head (see the module docstring).
+    """Sector table of a three-weight-layer head (see the module docstring),
+    owned by its model: ``GcnModel.sectors`` builds it once per model.
 
     Only breakpoints in [0, 1] cut sectors, as ``t`` never leaves that
     range. Sector ``2i`` is the open interval of ``t`` below ``breaks[i]``,
@@ -202,7 +249,8 @@ class HeadSectors:
 @dataclass(frozen=True)
 class SectorCache:
     """Forward intermediates of a three-weight-layer head, each ``(N, batch)``
-    except ``propagated`` (``(N, 2 batch)``) and the model's sector table.
+    except ``propagated`` (``(N, 2 batch)``). Only the batch's arrays: the
+    sector table is read from ``model.sectors``.
     """
 
     model: GcnModel                 # the forward's model, by reference
@@ -211,8 +259,6 @@ class SectorCache:
     propagated: np.ndarray          # [q+ q-] = P [a+ a-]
     sector_ids: np.ndarray          # sector of each node and sample
     last_pre_act: np.ndarray        # Z_3 = P g
-    sectors: HeadSectors
-    first_layer: tuple[np.ndarray, np.ndarray]     # _first_layer(model)
 
 
 def init_model(
@@ -270,43 +316,6 @@ def _split(a: np.ndarray) -> np.ndarray:
 _SIGNS = np.array([[1.0], [-1.0]])
 
 
-def _first_layer(model: GcnModel) -> tuple[np.ndarray, np.ndarray]:
-    """Rows ``[u+; u-; w1]`` of layer 1 and the slopes ``[d+; d-]``.
-
-    ``H_1 = a+ ⊗ u+ + a- ⊗ u-`` with ``u± = w1 * d±``; the row ``w1``
-    carries the gradient where ``a == 0``.
-    """
-    w1 = model.weights[0][0]
-    slopes = _dleaky(_SIGNS * w1, model.leaky_slope if _activated(model, 0) else 1.0)
-    return np.concatenate([w1 * slopes, model.weights[0]]), slopes
-
-
-def _sector_table(model: GcnModel, rows: np.ndarray) -> HeadSectors:
-    """Sector table of a three-weight-layer head; ``rows`` as ``_first_layer`` gives them."""
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        factors = rows @ model.weights[1]
-        if not np.isfinite(factors).all():
-            raise NumericError("non-finite value at layer 2")
-        pos, neg = factors[0], factors[1]
-        total = pos + neg
-        t = np.where(total != 0, neg / total, -1.0)
-        inside = (0.0 <= t) & (t <= 1.0)
-        breaks = np.sort(t[inside])
-        breaks = breaks[np.diff(breaks, append=2.0) != 0]       # the distinct ones
-        at = 2 * np.searchsorted(breaks, t) + 1         # the sector of each unit's breakpoint
-        last = 2 * breaks.size
-        # unit k has slope 1 where q+ A_k + q- B_k >= 0: from its breakpoint on if
-        # A_k + B_k > 0, up to it if A_k + B_k < 0 (so B_k <= 0); with no
-        # breakpoint in [0, 1] it has the sign of -B_k throughout
-        lo = np.where(inside & (total > 0), at, np.where(neg > 0, last + 1, 0))
-        hi = np.where(inside & (total < 0), at, last)
-        # the last row is the zero sector: its test 0 <= hi gives every unit slope 1
-        s = np.arange(last + 2)[:, None]
-        slopes = np.where((lo <= s) & (s % (last + 1) <= hi), 1.0, model.leaky_slope)
-        coeffs = slopes @ (factors * model.weights[2][:, 0]).T
-    return HeadSectors(factors, breaks, slopes, coeffs)
-
-
 _BINS = 1024    # a power of 2, so t * _BINS is exact
 
 
@@ -330,8 +339,7 @@ def _sector_forward(
     model: GcnModel, prop: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, SectorCache]:
     """Output ``(N, batch)`` and cache of a three-weight-layer head, from a = P h0."""
-    first = _first_layer(model)
-    sectors = _sector_table(model, first[0])
+    sectors = model.sectors
     batch = a.shape[1]
     with np.errstate(over="ignore", invalid="ignore"):
         q = prop @ np.concatenate([np.maximum(a, 0.0), np.minimum(a, 0.0)], axis=1)
@@ -353,14 +361,14 @@ def _sector_forward(
     if not np.isfinite(z).all():
         raise NumericError("non-finite value at layer 3")
     out = _leaky(z, model.leaky_slope) if model.final_nonlinearity else z
-    return out, SectorCache(model, prop, a, q, ids, z, sectors, first)
+    return out, SectorCache(model, prop, a, q, ids, z)
 
 
 def _layer_forward(
     model: GcnModel, prop: np.ndarray, a: np.ndarray
 ) -> tuple[np.ndarray, GcnCache]:
     """Output ``(N, batch)`` and cache of a head of any depth, layer by layer."""
-    rows, _ = _first_layer(model)
+    rows = model.first_layer[0]
     # the signal entering each layer is f @ u, with u None once it is dense
     f, u = _split(a), rows[:2]
     signals = []
@@ -420,7 +428,7 @@ def gcn_forward(
 
 def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
     """Weight gradients and a function for ``[dL/da+, dL/da-, w1 path]``, ``(N, batch, 3)``."""
-    model, sectors = cache.model, cache.sectors
+    model, sectors = cache.model, cache.model.sectors
     n, batch = cache.first_input.shape
     if model.final_nonlinearity:
         grad = grad * _dleaky(cache.last_pre_act, model.leaky_slope)
@@ -432,7 +440,7 @@ def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
     # dL/dA and dL/dB are W_3 times the slope-weighted sums per unit
     r = sums @ sectors.slopes
     d_ab = r * model.weights[2][:, 0]
-    rows, slopes = cache.first_layer
+    rows, slopes = model.first_layer
     d_w1 = (slopes * (d_ab @ model.weights[1].T)).sum(axis=0, keepdims=True)
     d_w3 = (sectors.factors[:2] * r).sum(axis=0)[:, None]
     return [d_w1, rows[:2].T @ d_ab, d_w3], lambda: (prop_t @ (
@@ -443,7 +451,7 @@ def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
     """Weight gradients and a function for ``[dL/da+, dL/da-, w1 path]``, ``(N, batch, 3)``."""
     model = cache.model
     n_layers = model.n_layers
-    rows, slopes = _first_layer(model)
+    rows, slopes = model.first_layer
     g = grad[:, :, None]
     d_weights: list[np.ndarray | None] = [None] * n_layers
     for l in range(n_layers - 1, 0, -1):

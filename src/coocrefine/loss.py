@@ -29,6 +29,17 @@ from .errors import NumericError, ValidationError
 from .prior import ReweightVector
 
 
+def _check_settings(gamma_pos, gamma_neg, delta, eps) -> None:
+    """The rules for the loss's hyperparameters; the error names the broken one."""
+    for name, gamma in (("gamma_pos", gamma_pos), ("gamma_neg", gamma_neg)):
+        if not 0 <= gamma < math.inf:
+            raise ValidationError(f"{name} must be finite and non-negative")
+    if not 0.0 <= delta < 1.0:
+        raise ValidationError("delta must be in [0, 1)")
+    if not 0.0 < eps <= 1e-4:
+        raise ValidationError("eps must be in (0, 1e-4]")
+
+
 @dataclass(frozen=True)
 class RaslParams:
     """Loss hyperparameters plus the per-class weight vector."""
@@ -40,13 +51,7 @@ class RaslParams:
     eps: float = 1e-8
 
     def __post_init__(self):
-        for name in ("gamma_pos", "gamma_neg"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValidationError(f"{name} must be finite and non-negative")
-        if not 0.0 <= self.delta < 1.0:
-            raise ValidationError("delta must be in [0, 1)")
-        if not 0.0 < self.eps <= 1e-4:
-            raise ValidationError("eps must be in (0, 1e-4]")
+        _check_settings(self.gamma_pos, self.gamma_neg, self.delta, self.eps)
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:

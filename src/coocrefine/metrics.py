@@ -117,6 +117,12 @@ def per_class_average_precision(
     return ap, tuple(excluded)
 
 
+def _mean_ap(ap: np.ndarray, excluded: tuple[int, ...]) -> float:
+    """mAP: the mean of ``ap`` over the classes not ``excluded``; 0 if none is left."""
+    included = np.setdiff1d(np.arange(ap.size), excluded)
+    return float(ap[included].mean()) if included.size else 0.0
+
+
 def evaluate(
     scores: np.ndarray,
     labels: LabelMatrix,
@@ -162,12 +168,10 @@ def evaluate(
         return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
 
     ap, excluded = per_class_average_precision(scores, labels.values)
-    included = np.setdiff1d(np.arange(labels.n_classes), excluded)
-    map_value = float(ap[included].mean()) if included.size else 0.0
 
     return MetricsReport(
         per_class_ap=ap,
-        map=map_value,
+        map=_mean_ap(ap, excluded),
         cp=cp,
         cr=cr,
         cf1=harmonic(cp, cr),

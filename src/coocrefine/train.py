@@ -24,9 +24,9 @@ import numpy as np
 
 from .data import LabelMatrix, LogitMatrix, batches
 from .errors import NumericError, ValidationError
-from .gcn import GcnModel, _widths, gcn_backward, gcn_forward, init_model
-from .loss import RaslParams, rasl_grad, rasl_loss
-from .metrics import evaluate
+from .gcn import GcnModel, _check_slope, _widths, gcn_backward, gcn_forward, init_model
+from .loss import RaslParams, _check_settings, rasl_grad, rasl_loss
+from .metrics import _mean_ap, per_class_average_precision
 from .prior import (
     REWEIGHT_MODES,
     CondProbMatrix,
@@ -73,6 +73,8 @@ class TrainConfig:
             raise ValidationError("lr0 must be positive and finite")
         if not 0.0 <= self.momentum < 1.0:
             raise ValidationError("momentum must be in [0, 1)")
+        _check_settings(self.gamma_pos, self.gamma_neg, self.delta, self.eps)
+        _check_slope(self.leaky_slope)
 
 
 @dataclass(frozen=True)
@@ -112,6 +114,7 @@ def sgd_step(
     Returns (updated model, updated velocity). With momentum=0 this is
     plain SGD. The checks here validate the new weights, so they are
     frozen in place, and the new model is neither copied nor checked again.
+    It takes the model's fields, not the tables the model caches.
     """
     if velocity is None:
         velocity = tuple(np.zeros_like(w) for w in model.weights)
@@ -130,7 +133,9 @@ def sgd_step(
         new_velocity.append(v_next)
         new_weights.append(updated)
     new_model = object.__new__(GcnModel)
-    vars(new_model).update(vars(model), weights=tuple(new_weights))
+    vars(new_model).update(layer_dims=model.layer_dims, weights=tuple(new_weights),
+                           leaky_slope=model.leaky_slope,
+                           final_nonlinearity=model.final_nonlinearity)
     return new_model, tuple(new_velocity)
 
 
@@ -149,7 +154,7 @@ def _unit_mean(weights: ReweightVector) -> ReweightVector:
 
 def _validation_map(model, cond, val_labels, val_logits) -> float:
     refined, _ = gcn_forward(model, cond, val_logits.values)
-    return evaluate(refined, val_labels).map
+    return _mean_ap(*per_class_average_precision(refined, val_labels.values))
 
 
 def train(

@@ -460,6 +460,32 @@ class TestConfigPrecedence:
         assert f"--{key.replace('_', '-')}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("text, fragment", [
+        ("{epochs: 1}", "invalid JSON"),
+        ("[1, 2]", "config must be a JSON object"),
+        ('{"subcommand": "prior", "config": [1]}', "manifest config must be a JSON object"),
+        ('{"subcommand": "prior", "config": {}, "inputs": {"labels": "x.csv"}}',
+         "manifest inputs must map"),
+    ])
+    def test_malformed_config_file_rejected(self, fixtures, capsys, text, fragment):
+        tmp_path, labels, _ = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        rc = main(["prior", "--labels", str(labels), "--config", str(config),
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"config.json: {fragment}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_config_list_of_widths_accepted(self, fixtures):
+        tmp_path, labels, logits = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"epochs": 1, "gcn_dims": [1, 8, 1]}))
+        out = tmp_path / "out"
+        assert main(["train", "--labels", str(labels), "--logits", str(logits),
+                     "--config", str(config), "--out-dir", str(out)]) == 0
+        assert "layer_dims 1 8 1" in (out / "model.txt").read_text().splitlines()
+
     def test_config_integral_number_and_boolean_accepted(self, fixtures):
         tmp_path, labels, logits = fixtures
         config = tmp_path / "config.json"
@@ -503,13 +529,16 @@ def train_argv(labels, logits, out, *extra):
     ("--gamma-pos", "inf", "gamma_pos"),
     ("--gamma-neg", "inf", "gamma_neg"),
     ("--lr0", "inf", "lr0"),
+    ("--delta", "1.5", "delta"),
+    ("--eps", "1", "eps"),
+    ("--leaky-slope", "2", "leaky_slope"),
 ])
 def test_bad_hyperparameter_exits_1_naming_it(fixtures, capsys, flag, value, setting):
     tmp_path, labels, logits = fixtures
     out = tmp_path / "out"
     assert main(train_argv(labels, logits, out, flag, value)) == 1
     assert f"error: {setting}" in capsys.readouterr().err
-    assert not out.exists() or not any(out.iterdir())
+    assert not out.exists()
 
 
 class TestOptionValues:

@@ -14,7 +14,8 @@ from coocrefine import (
     load_model,
     save_model,
 )
-from coocrefine.gcn import GcnGradients, _first_layer, _sector_ids, _sector_table
+from coocrefine import gcn
+from coocrefine.gcn import GcnGradients, HeadSectors, _sector_ids
 
 from oracles import central_difference, dense_gcn, gradient_close, stacked_sector_table
 
@@ -309,11 +310,11 @@ class TestSectorForm:
         *_, pre_acts = dense_gcn(weights, 0.5, final, cond.propagation, h0, coeffs)
         assert pre_acts[1][0, 1, :2].tolist() == [0.0, 0.0]
         tie = cache.sector_ids[1, 0]
-        assert cache.sectors.breaks[(tie - 1) // 2] == 2.0 / 3.0
-        assert cache.sectors.slopes[tie, :2].tolist() == [1.0, 1.0]
+        assert model.sectors.breaks[(tie - 1) // 2] == 2.0 / 3.0
+        assert model.sectors.slopes[tie, :2].tolist() == [1.0, 1.0]
         # either neighbouring sector gives one of the two units slope 0.5
-        assert 0.5 in cache.sectors.slopes[tie - 1, :2]
-        assert 0.5 in cache.sectors.slopes[tie + 1, :2]
+        assert 0.5 in model.sectors.slopes[tie - 1, :2]
+        assert 0.5 in model.sectors.slopes[tie + 1, :2]
 
     @pytest.mark.parametrize("slope", [0.01, 0.2])
     @pytest.mark.parametrize("final", [False, True])
@@ -328,7 +329,7 @@ class TestSectorForm:
         h0[4, h0[4] < 0] = 0.0          # no negative evidence: t == 1
         model = init_model((1, 64, 64, 1), leaky_slope=slope, seed=n, final_nonlinearity=final)
         cache = assert_matches_oracle(model, cond, h0, rng.normal(size=h0.shape))
-        zero_sector = len(cache.sectors.coeffs) - 1
+        zero_sector = len(model.sectors.coeffs) - 1
         assert (cache.sector_ids[:, 2] == zero_sector).all()
         assert (cache.sector_ids[:, [0, 1, 3, 5]] < zero_sector).all()
 
@@ -338,11 +339,14 @@ class TestSectorForm:
         model = init_model((1, 64, 64, 1), seed=12)
         _, cache = gcn_forward(model, random_cond(rng, n), rng.normal(size=(batch, n)))
         arrays = [v for v in vars(cache).values() if isinstance(v, np.ndarray)]
-        arrays += list(vars(cache.sectors).values())
+        arrays += list(vars(model.sectors).values())
         assert len(arrays) == 9
         assert max(x.size for x in arrays) <= 3 * batch * n
 
-    @pytest.mark.parametrize("scale, layer", [((1e200, 1e200, 1.0), 2), ((1.0, 1.0, 1e308), 3)])
+    # the first case overflows the sector table, the third the bound on |Z_2|
+    @pytest.mark.parametrize("scale, layer", [
+        ((1e200, 1e200, 1.0), 2), ((1.0, 1.0, 1e308), 3), ((1.0, 1e299, 1.0), 2),
+    ])
     def test_overflow_names_layer(self, scale, layer):
         model = init_model((1, 4, 4, 1), seed=0)
         big = replace(model, weights=[w * s for w, s in zip(model.weights, scale)])
@@ -365,7 +369,7 @@ class TestSectorForm:
                 weights = init_model((1, d, d, 1), seed=i).weights
             model = GcnModel((1, d, d, 1), tuple(weights), slope)
             want = stacked_sector_table(model.weights, slope)
-            got = _sector_table(model, _first_layer(model)[0])
+            got = model.sectors
             for field, value in zip(("factors", "breaks", "slopes", "coeffs"), want):
                 assert np.array_equal(getattr(got, field), value), (i, field)
             total = want[0][0] + want[0][1]
@@ -373,6 +377,21 @@ class TestSectorForm:
             ties += np.unique(t[(0 <= t) & (t <= 1)]).size < ((0 <= t) & (t <= 1)).sum()
             zero_totals += (total == 0).any()
         assert ties and zero_totals
+
+    def test_model_builds_its_table_once(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        cond, model = random_cond(rng, 5), init_model((1, 8, 8, 1), seed=18)
+        built = []
+        monkeypatch.setattr(gcn, "HeadSectors", lambda *a: built.append(a) or HeadSectors(*a))
+        for _ in range(2):
+            _, cache = gcn_forward(model, cond, rng.normal(size=(3, 5)))
+            gcn_backward(model, cond, cache, rng.normal(size=(3, 5)))
+        assert len(built) == 1
+        assert model.sectors is model.sectors
+
+    def test_table_needs_three_weight_layers(self):
+        with pytest.raises(ValidationError, match="3 weight layers"):
+            init_model((1, 3, 4, 5, 1), seed=0).sectors
 
     def test_sector_ids_match_searchsorted(self):
         rng = np.random.default_rng(13)
@@ -450,12 +469,14 @@ class TestSerialization:
         (5, "weights 0 -1 1", "line 5: expected 'weights 0 1 4'"),
         (5, "weights 0 1 5", "line 5: expected 'weights 0 1 4'"),
         (6, "0.5 x 0.5 0.5", "line 6: could not convert"),
+        (3, "slope 0.01", "line 3: expected leaky_slope"),
+        (12, "0.5", "line 12: trailing content after weight blocks"),
     ])
     def test_malformed_model_names_file_and_line(self, tmp_path, lineno, text, fragment):
         path = tmp_path / "model.txt"
         save_model(init_model((1, 4, 1), seed=3), path)
         lines = path.read_text().splitlines()
-        lines[lineno - 1] = text
+        lines[lineno - 1:lineno] = [text]         # a line past the end is appended
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValidationError, match=f"model.txt: bad model file: {fragment}"):
             load_model(path)

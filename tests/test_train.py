@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from coocrefine import (
+    GcnModel,
     LabelMatrix,
     LogitMatrix,
     NumericError,
@@ -94,6 +95,18 @@ class TestSgdStep:
             assert w.dtype == np.float64 and w.flags.c_contiguous
             with pytest.raises(ValueError, match="read-only"):
                 w[0, 0] = 0.0
+
+    def test_new_model_builds_its_own_tables(self):
+        model = init_model((1, 4, 4, 1), seed=0)
+        parent = model.first_layer, model.sectors
+        grads = GcnGradients(tuple(np.ones_like(w) for w in model.weights), lambda: np.zeros((1, 2)))
+        updated, _ = sgd_step(model, grads, lr=0.5)
+        fresh = GcnModel(updated.layer_dims, updated.weights, updated.leaky_slope)
+        assert updated.first_layer is not parent[0] and updated.sectors is not parent[1]
+        for got, want in zip(updated.first_layer, fresh.first_layer, strict=True):
+            assert np.array_equal(got, want)
+        for field in ("factors", "breaks", "slopes", "coeffs"):
+            assert np.array_equal(getattr(updated.sectors, field), getattr(fresh.sectors, field))
 
     def test_momentum_unrolls_to_expected_displacement(self):
         model = init_model((1, 1), seed=0)
