@@ -8,12 +8,16 @@ Subcommands compose the library into reproducible experiments:
 * ``eval``    metrics report for raw and/or refined logits
 * ``analyze`` AP improvement vs. co-occurrence strength, binned
 
-Every subcommand writes ``<subcommand>_manifest.json`` next to its
-outputs, recording the tool version, the fully resolved configuration,
-SHA-256 digests of all inputs, and the produced file names. Re-running a
-subcommand with ``--config <manifest>`` reproduces its outputs byte for
-byte; an input path it takes from the manifest must still hash to the
-recorded digest.
+Every subcommand runs one sequence (``_run``): resolve its options and
+check the required ones; check its other option rules and read its inputs,
+writing nothing; create ``--out-dir``; hash every input, i.e. every option
+whose type is ``_input``, before any output is written; write the outputs;
+write ``<subcommand>_manifest.json``, recording the tool version, the fully
+resolved configuration, SHA-256 digests of all inputs, and the produced file
+names; print one summary line. So a run that exits 1 while it reads its
+options or inputs creates no ``--out-dir``. Re-running a subcommand with
+``--config <manifest>`` reproduces its outputs byte for byte; an input path
+it takes from the manifest must still hash to the recorded digest.
 
 Flag precedence: explicit flag > --config file value > built-in default.
 A config file is a flat JSON object keyed by flag names (dashes as
@@ -34,7 +38,7 @@ import os
 import sys
 import tempfile
 from dataclasses import fields
-from functools import partial
+from functools import partial, wraps
 from pathlib import Path
 from types import SimpleNamespace
 from typing import NamedTuple
@@ -78,7 +82,8 @@ class Opt(NamedTuple):
     """One setting: flag ``--<name with dashes>``, config and manifest key ``<name>``.
 
     ``type`` turns the value given on the command line or in a config file
-    into the one the command uses; a value of None stays None.
+    into the one the command uses; a value of None stays None. An option of
+    type ``_input`` names an input file.
     """
 
     name: str
@@ -107,6 +112,11 @@ def _parse_list(value, kind) -> tuple:
 
 _ints = partial(_parse_list, kind=int)
 _floats = partial(_parse_list, kind=float)
+
+
+def _input(value) -> str:
+    """The path of an input file, hashed and recorded in the manifest."""
+    return str(value)
 
 
 def _clusters(value) -> tuple[tuple[int, ...], ...]:
@@ -148,33 +158,33 @@ _SUBCOMMANDS = {
         Opt("noise_std", 1.0, float, "logit noise std"),
     )),
     "prior": ("co-occurrence counts, conditional probabilities, alphas", (
-        Opt("labels", None, str, "label CSV path"),
+        Opt("labels", None, _input, "label CSV path"),
         Opt("reweight_mode", "frequency", str, "per-class loss weights", REWEIGHT_MODES),
     )),
     "train": ("fit the refinement head", (
-        Opt("labels", None, str, "training label CSV"),
-        Opt("logits", None, str, "training logits CSV"),
-        Opt("val_labels", None, str, "validation label CSV"),
-        Opt("val_logits", None, str, "validation logits CSV"),
+        Opt("labels", None, _input, "training label CSV"),
+        Opt("logits", None, _input, "training logits CSV"),
+        Opt("val_labels", None, _input, "validation label CSV"),
+        Opt("val_logits", None, _input, "validation logits CSV"),
         *_train_options(),
     )),
     "eval": ("evaluate raw and optionally refined logits", (
-        Opt("labels", None, str, "label CSV path"),
-        Opt("logits", None, str, "logits CSV path"),
-        Opt("model", None, str, "model file; requires --cond-prob"),
-        Opt("cond_prob", None, str, _A_CSV),
+        Opt("labels", None, _input, "label CSV path"),
+        Opt("logits", None, _input, "logits CSV path"),
+        Opt("model", None, _input, "model file; requires --cond-prob"),
+        Opt("cond_prob", None, _input, _A_CSV),
         Opt("threshold", 0.5, float, "sigmoid probability threshold for P/R/F1"),
         Opt("topk", None, int, "predict the k best classes per sample instead of thresholding"),
         Opt("condprob_k", 3, int, "k for the per-class co-occurrence strength column"),
         Opt("refined_out", None, str, "also write refined logits CSV under this name (--model)"),
     )),
     "analyze": ("AP improvement vs. co-occurrence strength", (
-        Opt("labels", None, str, "label CSV path"),
-        Opt("cond_prob", None, str, _A_CSV),
-        Opt("before", None, str, "scores CSV before refinement"),
-        Opt("after", None, str, "scores CSV after refinement"),
-        Opt("model", None, str, "alternative to --before/--after: refine --logits with this model"),
-        Opt("logits", None, str, "logits CSV for --model mode"),
+        Opt("labels", None, _input, "label CSV path"),
+        Opt("cond_prob", None, _input, _A_CSV),
+        Opt("before", None, _input, "scores CSV before refinement"),
+        Opt("after", None, _input, "scores CSV after refinement"),
+        Opt("model", None, _input, "alternative to --before/--after: refine --logits with this model"),
+        Opt("logits", None, _input, "logits CSV for --model mode"),
         Opt("k", 3, int, "top-k conditional probabilities per class"),
         Opt("bin_size", 0.02, float, "width of the co-occurrence strength bins"),
     )),
@@ -252,10 +262,9 @@ def _fill(cls, values: SimpleNamespace):
     return cls(**{f.name: getattr(values, f.name) for f in fields(cls)})
 
 
-def _require(resolved: dict, *keys: str):
-    for key in keys:
-        if resolved[key] is None:
-            raise ValidationError(f"missing required {_flag(key)}")
+def _together(o: SimpleNamespace, *keys: str) -> None:
+    if len({getattr(o, key) is None for key in keys}) > 1:
+        raise ValidationError(f"{' and '.join(map(_flag, keys))} must be given together")
 
 
 def _sha256(path) -> str:
@@ -276,16 +285,17 @@ def _out_dir(path) -> Path:
     return out
 
 
-def _hash_inputs(out: Path, subcommand: str, inputs: dict, outputs, recorded: dict,
-                 refined_out=None):
-    """Path and SHA-256 of every input, taken before any output is written.
+def _hash_inputs(out: Path, subcommand: str, o: SimpleNamespace, outputs, recorded: dict):
+    """Path and SHA-256 of every given ``_input`` option, before any output is written.
 
     An output under ``out``, the manifest included, that is an input file
     exits 1 before anything is written, and so does an input taken from a
     manifest whose SHA-256 differs from the one it ``recorded``.
     """
+    inputs = {name: getattr(o, name) for name, opt in _options(subcommand).items()
+              if opt.type is _input and getattr(o, name) is not None}
     for name in (*outputs, f"{subcommand}_manifest.json"):
-        flag = "refined_out" if name == refined_out else "out_dir"
+        flag = "refined_out" if name == getattr(o, "refined_out", None) else "out_dir"
         for role, path in inputs.items():
             if (out / name).exists() and os.path.samefile(out / name, path):
                 raise ValidationError(f"{_flag(flag)} would overwrite the {_flag(role)} input {path}")
@@ -297,28 +307,11 @@ def _hash_inputs(out: Path, subcommand: str, inputs: dict, outputs, recorded: di
     return hashed
 
 
-def _write_manifest(out: Path, subcommand: str, resolved: dict, inputs: dict, outputs):
-    manifest = {
-        "tool": _TOOL,
-        "version": __version__,
-        "subcommand": subcommand,
-        "seed": resolved.get("seed"),
-        "config": resolved,
-        "inputs": inputs,
-        "outputs": sorted(str(o) for o in outputs),
-    }
-    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    (out / f"{subcommand}_manifest.json").write_text(text, encoding="utf-8")
-
-
-def _write_prior_files(out: Path, labels, cooc, cond) -> None:
-    names = labels.class_names
+def _write_prior(out: Path, names, cooc, cond, weights) -> None:
+    """C.csv, A.csv and alpha.csv, one row per class in label-file order."""
     for name, matrix in (("C.csv", cooc.counts), ("A.csv", cond.probs)):
         rows = ((cls, *row) for cls, row in zip(names, matrix.tolist()))
         write_table(out / name, ("class", *names), rows)
-
-
-def _write_alpha(out: Path, weights, names) -> None:
     write_table(out / "alpha.csv", ("class", "alpha"), zip(names, weights.alphas.tolist()))
 
 
@@ -344,99 +337,113 @@ def _refine(values, labels, logits) -> tuple[CondProbMatrix, np.ndarray]:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth(args) -> int:
-    resolved, o, _ = _resolve(args)
+def _run(args, body, required) -> int:
+    """Run ``body`` (see ``_subcommand``) in the sequence the module docstring states."""
+    resolved, o, recorded = _resolve(args)
+    for key in required:
+        if getattr(o, key) is None:
+            raise ValidationError(f"missing required {_flag(key)}")
+    steps = body(o)
+    outputs = next(steps)
     out = _out_dir(o.out_dir)
+    inputs = _hash_inputs(out, args.subcommand, o, outputs, recorded)
+    summary = steps.send(out)
+    manifest = {
+        "tool": _TOOL,
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "seed": resolved.get("seed"),
+        "config": resolved,
+        "inputs": inputs,
+        "outputs": sorted(outputs),
+    }
+    text = json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    (out / f"{args.subcommand}_manifest.json").write_text(text, encoding="utf-8")
+    print(summary)
+    return 0
+
+
+def _subcommand(*required: str):
+    """A subcommand that ``_run`` runs from generator ``body``; ``required`` must be given.
+
+    The body gets the resolved options. It checks them and reads its inputs,
+    writing nothing, and yields its output names. It is then sent the output
+    directory, writes its outputs there and yields its summary line.
+    """
+    def command(body):
+        # a function, not a partial: perfbench's tracer wraps every cmd_* function
+        @wraps(body)
+        def cmd(args) -> int:
+            return _run(args, body, required)
+        return cmd
+    return command
+
+
+@_subcommand()
+def cmd_synth(o):
     if len(o.signal_strength) == 1:
         o.signal_strength *= o.n_classes
     spec = _fill(SyntheticSpec, o)
+    out = yield ["labels.csv", "logits.csv"]
     labels, logits = synth_generate(spec)
     labels_path, logits_path = out / "labels.csv", out / "logits.csv"
     write_labels(labels, labels_path)
     write_logits(logits, labels, logits_path)
-    _write_manifest(out, "synth", resolved, {}, [labels_path.name, logits_path.name])
-    print(f"wrote {labels_path} and {logits_path} ({spec.n_samples} samples)")
-    return 0
+    yield f"wrote {labels_path} and {logits_path} ({spec.n_samples} samples)"
 
 
-def cmd_prior(args) -> int:
-    resolved, o, recorded = _resolve(args)
-    _require(resolved, "labels")
-    out = _out_dir(o.out_dir)
+@_subcommand("labels")
+def cmd_prior(o):
     labels = load_labels(o.labels)
     outputs = ["C.csv", "A.csv", "alpha.csv"]
-    inputs = _hash_inputs(out, "prior", {"labels": o.labels}, outputs, recorded)
+    out = yield outputs
     cooc = cooccurrence(labels)
-    _write_prior_files(out, labels, cooc, conditional_prob(cooc))
-    _write_alpha(out, reweighting(cooc, o.reweight_mode), labels.class_names)
-    _write_manifest(out, "prior", resolved, inputs, outputs)
-    print(f"wrote {', '.join(outputs)} to {out}")
-    return 0
+    _write_prior(out, labels.class_names, cooc, conditional_prob(cooc),
+                 reweighting(cooc, o.reweight_mode))
+    yield f"wrote {', '.join(outputs)} to {out}"
 
 
-def cmd_train(args) -> int:
-    resolved, o, recorded = _resolve(args)
-    _require(resolved, "labels", "logits")
-    if (o.val_labels is None) != (o.val_logits is None):
-        raise ValidationError("--val-labels and --val-logits must be given together")
+@_subcommand("labels", "logits")
+def cmd_train(o):
+    _together(o, "val_labels", "val_logits")
     config = _fill(TrainConfig, o)
-    out = _out_dir(o.out_dir)
-
     labels = load_labels(o.labels)
     logits = load_logits(o.logits, labels)
     validation = None
-    inputs = {"labels": o.labels, "logits": o.logits}
     if o.val_labels is not None:
         val_labels = load_labels(o.val_labels)
         validation = (val_labels, load_logits(o.val_logits, val_labels))
-        inputs.update(val_labels=o.val_labels, val_logits=o.val_logits)
-    outputs = ["C.csv", "A.csv", "alpha.csv", "model.txt", "history.csv"]
-    inputs = _hash_inputs(out, "train", inputs, outputs, recorded)
+    out = yield ["C.csv", "A.csv", "alpha.csv", "model.txt", "history.csv"]
 
     model, weights, cond, history = train(labels, logits, config, validation)
 
     save_model(model, out / "model.txt")
-    _write_prior_files(out, labels, cooccurrence(labels), cond)
-    _write_alpha(out, weights, labels.class_names)
+    _write_prior(out, labels.class_names, cooccurrence(labels), cond, weights)
     write_table(out / "history.csv", ("epoch", "loss", "lr", "val_mAP"), (
         (rec.epoch, rec.mean_loss, rec.lr, "" if rec.val_map is None else rec.val_map)
         for rec in history.records
     ))
-    _write_manifest(out, "train", resolved, inputs, outputs)
     last = history.records[-1]
     msg = f"trained {config.epochs} epochs, final mean loss {last.mean_loss:.6g}"
     if last.val_map is not None:
         msg += f", val mAP {last.val_map:.4f}"
-    print(msg)
-    return 0
+    yield msg
 
 
 def _metrics_block(report, names) -> dict:
-    per_class = [
-        {"class": name, "ap": float(ap), "excluded": j in report.excluded_classes}
-        for j, (name, ap) in enumerate(zip(names, report.per_class_ap))
+    """A MetricsReport as report.json records it; field ``or_`` is key ``or``."""
+    block = {f.name.rstrip("_"): getattr(report, f.name) for f in fields(report)}
+    block["per_class_ap"] = report.per_class_ap.tolist()
+    block["per_class"] = [
+        {"class": name, "ap": ap, "excluded": j in report.excluded_classes}
+        for j, (name, ap) in enumerate(zip(names, block["per_class_ap"]))
     ]
-    return {
-        "per_class_ap": [float(v) for v in report.per_class_ap],
-        "map": report.map,
-        "cp": report.cp,
-        "cr": report.cr,
-        "cf1": report.cf1,
-        "op": report.op,
-        "or": report.or_,
-        "of1": report.of1,
-        "threshold": report.threshold,
-        "top_k": report.top_k,
-        "excluded_classes": list(report.excluded_classes),
-        "per_class": per_class,
-    }
+    return block
 
 
-def cmd_eval(args) -> int:
-    resolved, o, recorded = _resolve(args)
-    _require(resolved, "labels", "logits")
-    if (o.model is None) != (o.cond_prob is None):
-        raise ValidationError("--model and --cond-prob must be given together")
+@_subcommand("labels", "logits")
+def cmd_eval(o):
+    _together(o, "model", "cond_prob")
     if o.refined_out is not None and o.model is None:
         raise ValidationError("--refined-out needs --model (and --cond-prob)")
     own = ("report.json", "per_class.csv", "eval_manifest.json")
@@ -445,11 +452,9 @@ def cmd_eval(args) -> int:
     ):
         raise ValidationError(f"--refined-out must be a bare file name other than "
                               f"{', '.join(own)}, not '{o.refined_out}'")
-    out = _out_dir(o.out_dir)
 
     labels = load_labels(o.labels)
     logits = load_logits(o.logits, labels)
-    inputs = {"labels": o.labels, "logits": o.logits}
     kwargs = {"threshold": o.threshold, "top_k": o.topk}
 
     report = {
@@ -466,11 +471,10 @@ def cmd_eval(args) -> int:
     outputs = ["report.json"]
     if o.model is not None:
         cond, refined = _refine(o, labels, logits)
-        inputs.update(model=o.model, cond_prob=o.cond_prob)
         outputs.append("per_class.csv")
     if o.refined_out is not None:
         outputs.append(o.refined_out)
-    inputs = _hash_inputs(out, "eval", inputs, outputs, recorded, o.refined_out)
+    out = yield outputs
 
     if o.model is not None:
         refined_report = evaluate(refined, labels, **kwargs)
@@ -493,37 +497,30 @@ def cmd_eval(args) -> int:
     (out / "report.json").write_text(
         json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
-    _write_manifest(out, "eval", resolved, inputs, outputs)
     summary = f"initial mAP {report['initial']['map']:.4f}"
     if "refined" in report:
         summary += f", refined mAP {report['refined']['map']:.4f}"
-    print(summary)
-    return 0
+    yield summary
 
 
-def cmd_analyze(args) -> int:
-    resolved, o, recorded = _resolve(args)
-    _require(resolved, "labels", "cond_prob")
+@_subcommand("labels", "cond_prob")
+def cmd_analyze(o):
     given = tuple(k for k in ("before", "after", "model", "logits") if getattr(o, k) is not None)
     if given not in (("before", "after"), ("model", "logits")):
         raise ValidationError("need either --before and --after, or --model and --logits "
                               f"(given: {' '.join(map(_flag, given)) or 'none'})")
-    out = _out_dir(o.out_dir)
 
     labels = load_labels(o.labels)
-    inputs = {"labels": o.labels, "cond_prob": o.cond_prob}
     if given == ("before", "after"):
         cond = _load_cond_prob(o.cond_prob, labels)
         before = load_logits(o.before, labels).values
         after = load_logits(o.after, labels).values
-        inputs.update(before=o.before, after=o.after)
     else:
         logits = load_logits(o.logits, labels)
         cond, after = _refine(o, labels, logits)
         before = logits.values
-        inputs.update(model=o.model, logits=o.logits)
+    out = yield ["bins.csv"]
 
-    inputs = _hash_inputs(out, "analyze", inputs, ["bins.csv"], recorded)
     # both sides score the same labels, so they exclude the same classes
     ap_before, excluded = per_class_average_precision(before, labels.values)
     ap_after, _ = per_class_average_precision(after, labels.values)
@@ -536,9 +533,7 @@ def cmd_analyze(args) -> int:
     rows.append((f"# spearman={result.spearman!r} classes={len(result.class_indices)} {status}",))
     bins_path = out / "bins.csv"
     write_table(bins_path, ("bin_low", "bin_high", "mean_delta_ap", "class_count"), rows)
-    _write_manifest(out, "analyze", resolved, inputs, [bins_path.name])
-    print(f"wrote {bins_path} (spearman {result.spearman:.4f}, {status})")
-    return 0
+    yield f"wrote {bins_path} (spearman {result.spearman:.4f}, {status})"
 
 
 # ---------------------------------------------------------------------------

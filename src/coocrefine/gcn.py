@@ -118,11 +118,12 @@ def _check_slope(slope) -> None:
         raise ValidationError("leaky_slope must be in (0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GcnModel:
     """Stack of per-layer weight matrices plus architecture metadata.
 
-    ``layer_dims`` lists per-node feature widths (see ``_widths``).
+    ``layer_dims`` lists per-node feature widths (see ``_widths``). A model
+    equals only itself and hashes by identity, as a forward cache binds it.
     """
 
     layer_dims: tuple[int, ...]

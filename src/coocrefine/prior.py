@@ -46,9 +46,10 @@ class CoocMatrix:
         return self.counts.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CondProbMatrix:
-    """Estimated P(column class present | row class present).
+    """Estimated P(column class present | row class present), compared and
+    hashed by identity, as a forward cache binds it.
 
     Rows of classes never seen in training cannot be normalized; they are
     set to the identity row (probability 1 on the class itself, 0

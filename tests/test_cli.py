@@ -328,6 +328,40 @@ class TestOutputNeverReplacesInput:
         assert [p.name for p in run.iterdir()] == ["C.csv"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["synth", "--n-classes", "3", "--n-samples", "5"],
+    ["prior", "--labels", "{labels}"],
+    ["train", "--labels", "{labels}", "--logits", "{logits}", "--epochs", "1", "--gcn-dims", "1,4,1"],
+    ["train", "--labels", "{labels}", "--logits", "{logits}", "--epochs", "1", "--gcn-dims", "1,4,1",
+     "--val-labels", "{labels}", "--val-logits", "{logits}"],
+    ["eval", "--labels", "{labels}", "--logits", "{logits}"],
+    ["eval", "--labels", "{labels}", "--logits", "{logits}", "--model", "{model}",
+     "--cond-prob", "{cond}", "--condprob-k", "2"],
+    ["eval", "--labels", "{labels}", "--logits", "{logits}", "--model", "{model}",
+     "--cond-prob", "{cond}", "--condprob-k", "2", "--refined-out", "refined.csv"],
+    ["analyze", "--labels", "{labels}", "--cond-prob", "{cond}", "--before", "{logits}",
+     "--after", "{logits}", "--k", "2"],
+    ["analyze", "--labels", "{labels}", "--cond-prob", "{cond}", "--model", "{model}",
+     "--logits", "{logits}", "--k", "2"],
+], ids=["synth", "prior", "train", "train-validation", "eval", "eval-model",
+        "eval-refined-out", "analyze-scores", "analyze-model"])
+def test_manifest_lists_every_output_and_every_given_input(fixtures, argv):
+    tmp_path, labels, logits = fixtures
+    paths = {"labels": str(labels), "logits": str(logits), "model": str(tmp_path / "model.txt"),
+             "cond": str(tmp_path / "A.csv")}
+    (tmp_path / "A.csv").write_text(A_CSV)
+    save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
+    argv = [arg.format(**paths) for arg in argv]
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    manifest_name = f"{argv[0]}_manifest.json"
+    manifest = json.loads((out / manifest_name).read_text())
+    assert sorted(p.name for p in out.iterdir()) == sorted([*manifest["outputs"], manifest_name])
+    given = {flag[2:].replace("-", "_") for flag, value in zip(argv, argv[1:])
+             if value in paths.values()}
+    assert set(manifest["inputs"]) == given
+
+
 class TestCondProbFile:
     @pytest.mark.parametrize("content, fragment", [
         pytest.param(A_CSV_NAN, "line 2: non-finite", id="nan"),
@@ -625,6 +659,19 @@ class TestDocumentedExits:
         out = tmp_path / "out"
         assert main(train_argv(labels, logits, out, "--val-labels", str(labels))) == 1
         assert "--val-labels and --val-logits" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--n-classes", "1"],
+        ["prior", "--labels", "{missing}"],
+        ["eval", "--labels", "{labels}", "--logits", "{missing}"],
+    ], ids=["synth-one-class", "prior-missing-labels", "eval-missing-logits"])
+    def test_exit_1_creates_no_out_dir(self, fixtures, capsys, argv):
+        tmp_path, labels, _ = fixtures
+        out = tmp_path / "out"
+        argv = [arg.format(labels=labels, missing=tmp_path / "absent.csv") for arg in argv]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
     def test_model_needs_cond_prob(self, fixtures, capsys):

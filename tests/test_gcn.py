@@ -77,6 +77,17 @@ class TestInitModel:
             init_model((1, 4, 3), seed=0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: init_model((1, 4, 1), 0.01, 0, False),
+    lambda: identity_cond(3),
+], ids=["GcnModel", "CondProbMatrix"])
+def test_equality_and_hash_are_identity(make):
+    # a forward cache binds its model and prior by identity; == and hash() agree
+    a, b = make(), make()
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 class TestPropagationMatrix:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
