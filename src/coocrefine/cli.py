@@ -9,15 +9,16 @@ Subcommands compose the library into reproducible experiments:
 * ``analyze`` AP improvement vs. co-occurrence strength, binned
 
 Every subcommand runs one sequence (``_run``): resolve its options and
-check the required ones; check its other option rules and read its inputs,
-writing nothing; create ``--out-dir``; hash every input, i.e. every option
-whose type is ``_input``, before any output is written; write the outputs;
-write ``<subcommand>_manifest.json``, recording the tool version, the fully
+check the required ones; check its other option rules, read its inputs and
+check them against each other and the options, writing nothing; create
+``--out-dir``; hash every input, i.e. every option whose type is
+``_input``, before any output is written; write the outputs; write
+``<subcommand>_manifest.json``, recording the tool version, the fully
 resolved configuration, SHA-256 digests of all inputs, and the produced file
-names; print one summary line. So a run that exits 1 while it reads its
-options or inputs creates no ``--out-dir``. Re-running a subcommand with
-``--config <manifest>`` reproduces its outputs byte for byte; an input path
-it takes from the manifest must still hash to the recorded digest.
+names; print one summary line. So a run that exits 1 on a bad option or
+input creates no ``--out-dir``. Re-running a subcommand with ``--config
+<manifest>`` reproduces its outputs byte for byte; an input path it takes
+from the manifest must still hash to the recorded digest.
 
 Flag precedence: explicit flag > --config file value > built-in default.
 A config file is a flat JSON object keyed by flag names (dashes as
@@ -65,11 +66,12 @@ from .metrics import delta_ap_analysis, evaluate, per_class_average_precision
 from .prior import (
     REWEIGHT_MODES,
     CondProbMatrix,
+    _check_k,
     conditional_prob,
     cooccurrence,
     reweighting,
 )
-from .train import TrainConfig, train
+from .train import TrainConfig, _check_data, train
 
 _TOOL = "coocrefine"
 
@@ -307,9 +309,9 @@ def _hash_inputs(out: Path, subcommand: str, o: SimpleNamespace, outputs, record
     return hashed
 
 
-def _write_prior(out: Path, names, cooc, cond, weights) -> None:
+def _write_prior(out: Path, names, cond, weights) -> None:
     """C.csv, A.csv and alpha.csv, one row per class in label-file order."""
-    for name, matrix in (("C.csv", cooc.counts), ("A.csv", cond.probs)):
+    for name, matrix in (("C.csv", cond.cooc.counts), ("A.csv", cond.probs)):
         rows = ((cls, *row) for cls, row in zip(names, matrix.tolist()))
         write_table(out / name, ("class", *names), rows)
     write_table(out / "alpha.csv", ("class", "alpha"), zip(names, weights.alphas.tolist()))
@@ -397,9 +399,8 @@ def cmd_prior(o):
     labels = load_labels(o.labels)
     outputs = ["C.csv", "A.csv", "alpha.csv"]
     out = yield outputs
-    cooc = cooccurrence(labels)
-    _write_prior(out, labels.class_names, cooc, conditional_prob(cooc),
-                 reweighting(cooc, o.reweight_mode))
+    cond = conditional_prob(cooccurrence(labels))
+    _write_prior(out, labels.class_names, cond, reweighting(cond.cooc, o.reweight_mode))
     yield f"wrote {', '.join(outputs)} to {out}"
 
 
@@ -413,12 +414,13 @@ def cmd_train(o):
     if o.val_labels is not None:
         val_labels = load_labels(o.val_labels)
         validation = (val_labels, load_logits(o.val_logits, val_labels))
+    _check_data(labels, logits, validation)
     out = yield ["C.csv", "A.csv", "alpha.csv", "model.txt", "history.csv"]
 
     model, weights, cond, history = train(labels, logits, config, validation)
 
     save_model(model, out / "model.txt")
-    _write_prior(out, labels.class_names, cooccurrence(labels), cond, weights)
+    _write_prior(out, labels.class_names, cond, weights)
     write_table(out / "history.csv", ("epoch", "loss", "lr", "val_mAP"), (
         (rec.epoch, rec.mean_loss, rec.lr, "" if rec.val_map is None else rec.val_map)
         for rec in history.records
@@ -471,12 +473,8 @@ def cmd_eval(o):
     outputs = ["report.json"]
     if o.model is not None:
         cond, refined = _refine(o, labels, logits)
+        _check_k(o.condprob_k, labels.n_classes, "--condprob-k")
         outputs.append("per_class.csv")
-    if o.refined_out is not None:
-        outputs.append(o.refined_out)
-    out = yield outputs
-
-    if o.model is not None:
         refined_report = evaluate(refined, labels, **kwargs)
         report["refined"] = _metrics_block(refined_report, labels.class_names)
         report["delta_map"] = report["refined"]["map"] - report["initial"]["map"]
@@ -485,6 +483,11 @@ def cmd_eval(o):
         ap_after = report["refined"]["per_class_ap"]
         analysis = delta_ap_analysis(np.array(ap_before), np.array(ap_after), cond,
                                      k=o.condprob_k, exclude=refined_report.excluded_classes)
+    if o.refined_out is not None:
+        outputs.append(o.refined_out)
+    out = yield outputs
+
+    if o.model is not None:
         header = ("class", f"top{o.condprob_k}_mean_cond_prob", "ap_before", "ap_after", "delta_ap")
         columns = zip(analysis.class_indices, analysis.top_k_mean.tolist(),
                       analysis.delta_ap.tolist())
@@ -519,7 +522,7 @@ def cmd_analyze(o):
         logits = load_logits(o.logits, labels)
         cond, after = _refine(o, labels, logits)
         before = logits.values
-    out = yield ["bins.csv"]
+    _check_k(o.k, labels.n_classes, "--k")
 
     # both sides score the same labels, so they exclude the same classes
     ap_before, excluded = per_class_average_precision(before, labels.values)
@@ -527,6 +530,7 @@ def cmd_analyze(o):
     result = delta_ap_analysis(
         ap_before, ap_after, cond, k=o.k, bin_size=o.bin_size, exclude=excluded
     )
+    out = yield ["bins.csv"]
 
     status = "defined" if result.spearman_defined else "degenerate"
     rows = [(b.bin_low, b.bin_high, b.mean_delta_ap, b.class_count) for b in result.bins]

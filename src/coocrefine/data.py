@@ -1,7 +1,7 @@
 """Label and logit matrices: file I/O, synthetic data, splitting, batching.
 
-``read_text`` is the one place an input file is opened; a missing,
-unreadable or non-UTF-8 file raises ValidationError naming it.
+``read_lines`` is the one place an input file is opened, a line at a time;
+a missing, unreadable or non-UTF-8 file raises ValidationError naming it.
 
 CSV grammar, shared by labels, logits and ``A.csv`` and parsed only by
 ``read_table``: UTF-8, comma separated, LF or CRLF line endings, no
@@ -163,21 +163,31 @@ class SyntheticSpec:
             raise ValidationError("noise_std must be positive")
 
 
-def read_text(path) -> str:
-    """The text of a UTF-8 input file: the one place an input file is opened.
+def read_lines(path, newline=""):
+    """The lines of a UTF-8 input file, with their ends, read one at a time.
 
-    A missing, unreadable or undecodable file raises ValidationError
-    naming it.
+    ``newline`` is ``open``'s: "" keeps each line end (LF, CRLF or CR) as it
+    is, so a CRLF is never cut; None turns each into LF.
     """
     path = Path(path)
     try:
-        return path.read_text(encoding="utf-8")
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield from fh
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}") from None
     except UnicodeDecodeError as exc:
+        try:    # a streamed decode counts byte positions from its chunk: name the file's
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
+
+
+def read_text(path) -> str:
+    """The whole text of a small UTF-8 input file (a model or a config), LF line ends."""
+    return "".join(read_lines(path, None))
 
 
 def binary_cells(texts: list[str]) -> np.ndarray:
@@ -205,54 +215,62 @@ def read_table(path, key: str, cell, names=None, keys=None):
     in order if given. ``cell`` turns one row's cell texts into a vector,
     raising ValueError on a cell it rejects. Returns the keys, the class
     names and the (rows, classes) matrix; a fault raises ValidationError
-    naming the file and, for a row, its line.
+    naming the file and, for a row, its line. Lines are cut as by
+    ``str.splitlines`` and streamed. A fault first decodes and counts the
+    whole file, so a decoding fault outranks every other, and a row count
+    fault any row's.
     """
-    lines = read_text(path).splitlines()
-    if not lines:
-        raise ValidationError(f"{path}: empty file")
-    header = lines[0].split(",")
+    def count() -> int:
+        return sum(len(raw.splitlines()) for raw in read_lines(path)) - 1
+
+    def fault(message: str, row: bool = True) -> ValidationError:
+        n_rows = count()
+        if row and keys is not None and n_rows != len(keys):
+            where = f"line {len(keys) + 2}: " if n_rows > len(keys) else ""
+            message = f"{where}shape mismatch: {n_rows} {key} rows, expected {len(keys)}"
+        return ValidationError(f"{path}: {message}")
+
+    n_rows = count() if keys is None else len(keys)
+    lines = (line for raw in read_lines(path) for line in raw.splitlines())
+    header = next(lines, None)
+    if header is None:
+        raise fault("empty file", row=False)
+    header = header.split(",")
     if header[0] != key:
-        raise ValidationError(f"{path}: line 1: malformed header: first column must be {key}")
+        raise fault(f"line 1: malformed header: first column must be {key}", row=False)
     if len(header) < 3:
-        raise ValidationError(f"{path}: line 1: malformed header: need at least 2 class columns")
+        raise fault("line 1: malformed header: need at least 2 class columns", row=False)
     classes = header[1:]
     if len(set(classes)) != len(classes):
         repeated = next(name for i, name in enumerate(classes) if name in classes[:i])
-        raise ValidationError(f"{path}: line 1: repeated class name '{repeated}'")
+        raise fault(f"line 1: repeated class name '{repeated}'", row=False)
     if names is not None and tuple(classes) != tuple(names):
-        raise ValidationError(f"{path}: class header mismatch with labels")
-    n_rows = len(lines) - 1
-    if n_rows == 0 and keys is None:
-        raise ValidationError(f"{path}: no samples")
-    if keys is not None and n_rows != len(keys):
-        where = f"line {len(keys) + 2}: " if n_rows > len(keys) else ""
-        raise ValidationError(
-            f"{path}: {where}shape mismatch: {n_rows} {key} rows, expected {len(keys)}"
-        )
+        raise fault("class header mismatch with labels", row=False)
+    if n_rows == 0:
+        raise fault("no samples")
     seen: dict[str, None] = {}      # the keys in file order, when not given
-    for i, line in enumerate(lines[1:]):
+    i = -1
+    for i, line in zip(range(n_rows), lines):
         cells = line.split(",")
         if len(cells) != len(header):
-            raise ValidationError(
-                f"{path}: line {i + 2}: expected {len(header)} cells, got {len(cells)}"
-            )
+            raise fault(f"line {i + 2}: expected {len(header)} cells, got {len(cells)}")
         if keys is None:
             if cells[0] in seen:
-                raise ValidationError(f"{path}: line {i + 2}: duplicate {key} '{cells[0]}'")
+                raise fault(f"line {i + 2}: duplicate {key} '{cells[0]}'")
             seen[cells[0]] = None
         elif cells[0] != keys[i]:
-            raise ValidationError(
-                f"{path}: line {i + 2}: {key} mismatch at row {i + 1}: "
-                f"expected '{keys[i]}', got '{cells[0]}'"
-            )
+            raise fault(f"line {i + 2}: {key} mismatch at row {i + 1}: "
+                        f"expected '{keys[i]}', got '{cells[0]}'")
         try:
             row = cell(cells[1:])
         except ValueError as exc:
-            raise ValidationError(f"{path}: line {i + 2}: {exc}") from None
+            raise fault(f"line {i + 2}: {exc}") from None
         # filled in place: stacking the row vectors instead kept freed heap resident
         if i == 0:
             values = np.empty((n_rows, row.size), row.dtype)
         values[i] = row
+    if i + 1 != n_rows or next(lines, None) is not None:
+        raise fault(f"{i + 1} rows read, expected {n_rows}")
     return tuple(seen if keys is None else keys), tuple(classes), values
 
 
@@ -334,9 +352,8 @@ def synth_generate(spec: SyntheticSpec) -> tuple[LabelMatrix, LogitMatrix]:
         members[np.arange(n), chosen] = True
         y[:, list(cluster)] = members & active[:, None]
 
-    strength = np.array(spec.signal_strength)
-    noise = gaussian(rng, (n, n_classes), spec.noise_std)
-    logit_values = strength[None, :] * (2.0 * y - 1.0) + noise
+    logit_values = gaussian(rng, (n, n_classes), spec.noise_std)
+    logit_values += np.array(spec.signal_strength) * (2.0 * y - 1.0)
 
     width = max(6, len(str(n - 1)))
     ids = tuple(f"s{i:0{width}d}" for i in range(n))

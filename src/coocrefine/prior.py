@@ -55,9 +55,11 @@ class CondProbMatrix:
     set to the identity row (probability 1 on the class itself, 0
     elsewhere). Under identity rows, graph propagation degrades to
     self-propagation for such classes instead of producing NaNs.
+    ``cooc`` is the counts ``conditional_prob`` derived it from, else None.
     """
 
     probs: np.ndarray               # (N, N) float64 in [0, 1]
+    cooc: CoocMatrix | None = None
 
     def __post_init__(self):
         probs = frozen_array(self.probs, np.float64)
@@ -144,7 +146,7 @@ def conditional_prob(cooc: CoocMatrix) -> CondProbMatrix:
     probs = cooc.counts / np.maximum(diag, 1.0)[:, None]
     probs[zero, :] = 0.0
     probs[zero, zero] = 1.0
-    return CondProbMatrix(probs)
+    return CondProbMatrix(probs, cooc)
 
 
 def reweighting(cooc: CoocMatrix, mode: str = "frequency") -> ReweightVector:
@@ -166,13 +168,17 @@ def reweighting(cooc: CoocMatrix, mode: str = "frequency") -> ReweightVector:
     return ReweightVector(alphas, mode)
 
 
+def _check_k(k: int, n_classes: int, name: str = "k") -> None:
+    if not 1 <= k <= n_classes - 1:
+        raise ValidationError(f"{name} must be in [1, {n_classes - 1}], got {k}")
+
+
 def top_k_mean_condprob(cond: CondProbMatrix, class_index: int, k: int) -> float:
     """Mean of the k largest off-diagonal conditional probabilities in a row."""
     n = cond.n_classes
     if not 0 <= class_index < n:
         raise ValidationError(f"class index {class_index} out of range")
-    if not 1 <= k <= n - 1:
-        raise ValidationError(f"k must be in [1, {n - 1}], got {k}")
+    _check_k(k, n)
     row = np.delete(cond.probs[class_index], class_index)
     top = np.sort(row)[-k:]
     return float(top.mean())

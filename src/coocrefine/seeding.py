@@ -37,12 +37,11 @@ def gaussian(rng: np.random.Generator, shape, std: float = 1.0) -> np.ndarray:
     for odd counts.
     """
     n = int(np.prod(shape)) if shape else 1
-    if n == 0:
-        return np.zeros(shape)
     half = (n + 1) // 2
-    u1 = 1.0 - rng.random(half)
-    u2 = rng.random(half)
-    radius = np.sqrt(-2.0 * np.log(u1))
-    angle = 2.0 * np.pi * u2
-    z = np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n]
-    return (std * z).reshape(shape)
+    radius = np.sqrt(-2.0 * np.log(1.0 - rng.random(half)))
+    angle = 2.0 * np.pi * rng.random(half)
+    z = np.empty(2 * half)      # both branches, then the scale, written in place
+    np.multiply(radius, np.cos(angle, out=z[:half]), out=z[:half])
+    np.multiply(radius, np.sin(angle, out=z[half:]), out=z[half:])
+    z *= std
+    return z[:n].reshape(shape)

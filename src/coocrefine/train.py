@@ -157,6 +157,18 @@ def _validation_map(model, cond, val_labels, val_logits) -> float:
     return _mean_ap(*per_class_average_precision(refined, val_labels.values))
 
 
+def _check_data(train_labels, train_logits, validation) -> None:
+    """The checks ``train`` makes of its data before it computes anything."""
+    if train_labels.values.shape != train_logits.values.shape:
+        raise ValidationError("training labels and logits shapes differ")
+    if validation is not None:
+        val_labels, val_logits = validation
+        if val_labels.values.shape != val_logits.values.shape:
+            raise ValidationError("validation labels and logits shapes differ")
+        if val_labels.class_names != train_labels.class_names:
+            raise ValidationError("validation class names differ from training")
+
+
 def train(
     train_labels: LabelMatrix,
     train_logits: LogitMatrix,
@@ -168,14 +180,7 @@ def train(
     The prior is estimated from the training split only. Aborts with a
     diagnostic if the mean epoch loss goes non-finite.
     """
-    if train_labels.values.shape != train_logits.values.shape:
-        raise ValidationError("training labels and logits shapes differ")
-    if validation is not None:
-        val_labels, val_logits = validation
-        if val_labels.values.shape != val_logits.values.shape:
-            raise ValidationError("validation labels and logits shapes differ")
-        if val_labels.class_names != train_labels.class_names:
-            raise ValidationError("validation class names differ from training")
+    _check_data(train_labels, train_logits, validation)
 
     cooc = cooccurrence(train_labels)
     cond = conditional_prob(cooc)
@@ -214,6 +219,6 @@ def train(
             )
         val_map = None
         if validation is not None:
-            val_map = _validation_map(model, cond, val_labels, val_logits)
+            val_map = _validation_map(model, cond, *validation)
         records.append(EpochRecord(epoch, mean_loss, lr, val_map))
     return model, weights, cond, TrainHistory(tuple(records))

@@ -149,3 +149,67 @@ def stacked_sector_table(weights, slope):
     slopes = np.vstack([np.where((lo <= s) & (s <= hi), 1.0, slope), np.ones(neg.size)])
     coeffs = slopes @ (factors * weights[2][:, 0]).T
     return factors, breaks, slopes, coeffs
+
+
+def whole_text_read_table(path, key, cell, names=None, keys=None):
+    """``read_table`` as a whole-text reader: decode the entire file, cut it
+    with ``str.splitlines``, then check the header, the row count and each
+    row in turn. The streamed reader must reach the same decision, array
+    and message on every input."""
+    from pathlib import Path
+
+    from coocrefine import ValidationError
+
+    path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValidationError(f"file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from None
+    lines = text.splitlines()
+    if not lines:
+        raise ValidationError(f"{path}: empty file")
+    header = lines[0].split(",")
+    if header[0] != key:
+        raise ValidationError(f"{path}: line 1: malformed header: first column must be {key}")
+    if len(header) < 3:
+        raise ValidationError(f"{path}: line 1: malformed header: need at least 2 class columns")
+    classes = header[1:]
+    if len(set(classes)) != len(classes):
+        repeated = next(name for i, name in enumerate(classes) if name in classes[:i])
+        raise ValidationError(f"{path}: line 1: repeated class name '{repeated}'")
+    if names is not None and tuple(classes) != tuple(names):
+        raise ValidationError(f"{path}: class header mismatch with labels")
+    n_rows = len(lines) - 1
+    if n_rows == 0 and keys is None:
+        raise ValidationError(f"{path}: no samples")
+    if keys is not None and n_rows != len(keys):
+        where = f"line {len(keys) + 2}: " if n_rows > len(keys) else ""
+        raise ValidationError(
+            f"{path}: {where}shape mismatch: {n_rows} {key} rows, expected {len(keys)}"
+        )
+    seen = {}
+    rows = []
+    for i, line in enumerate(lines[1:]):
+        cells = line.split(",")
+        if len(cells) != len(header):
+            raise ValidationError(
+                f"{path}: line {i + 2}: expected {len(header)} cells, got {len(cells)}"
+            )
+        if keys is None:
+            if cells[0] in seen:
+                raise ValidationError(f"{path}: line {i + 2}: duplicate {key} '{cells[0]}'")
+            seen[cells[0]] = None
+        elif cells[0] != keys[i]:
+            raise ValidationError(
+                f"{path}: line {i + 2}: {key} mismatch at row {i + 1}: "
+                f"expected '{keys[i]}', got '{cells[0]}'"
+            )
+        try:
+            rows.append(cell(cells[1:]))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: line {i + 2}: {exc}") from None
+    return tuple(seen if keys is None else keys), tuple(classes), np.stack(rows)

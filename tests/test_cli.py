@@ -299,7 +299,7 @@ class TestOutputNeverReplacesInput:
         rc = main([
             "eval", "--labels", str(labels), "--logits", str(logits),
             "--model", str(tmp_path / "model.txt"), "--cond-prob", str(tmp_path / "A.csv"),
-            "--refined-out", "logits.csv", "--out-dir", str(tmp_path),
+            "--condprob-k", "2", "--refined-out", "logits.csv", "--out-dir", str(tmp_path),
         ])
         assert rc == 1
         err = capsys.readouterr().err
@@ -672,6 +672,31 @@ class TestDocumentedExits:
         argv = [arg.format(labels=labels, missing=tmp_path / "absent.csv") for arg in argv]
         assert main([*argv, "--out-dir", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["eval", "--labels", "{labels}", "--logits", "{logits}", "--model", "{model}",
+          "--cond-prob", "{cond}"], "--condprob-k must be in [1, 2], got 3"),
+        (["analyze", "--labels", "{labels}", "--cond-prob", "{cond}", "--before", "{logits}",
+          "--after", "{logits}", "--k", "0"], "--k must be in [1, 2], got 0"),
+        (["analyze", "--labels", "{labels}", "--cond-prob", "{cond}", "--model", "{model}",
+          "--logits", "{logits}", "--k", "2", "--bin-size", "0"], "bin_size must be positive"),
+        (["train", "--labels", "{labels}", "--logits", "{logits}", "--val-labels", "{renamed}",
+          "--val-logits", "{renamed_logits}", "--epochs", "1", "--gcn-dims", "1,4,1"],
+         "validation class names differ from training"),
+    ], ids=["eval-condprob-k", "analyze-k", "analyze-bin-size", "train-val-class-names"])
+    def test_checks_on_read_inputs_create_no_out_dir(self, fixtures, capsys, argv, message):
+        tmp_path, labels, logits = fixtures
+        (tmp_path / "A.csv").write_text(A_CSV)
+        save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
+        (tmp_path / "renamed.csv").write_text(LABELS_CSV.replace("c2", "c9"))
+        (tmp_path / "renamed_logits.csv").write_text(LOGITS_CSV.replace("c2", "c9"))
+        paths = {name: tmp_path / f"{name}.csv" for name in ("renamed", "renamed_logits")}
+        argv = [arg.format(labels=labels, logits=logits, model=tmp_path / "model.txt",
+                           cond=tmp_path / "A.csv", **paths) for arg in argv]
+        out = tmp_path / "out"
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"coocrefine: error: {message}\n"
         assert not out.exists()
 
     def test_model_needs_cond_prob(self, fixtures, capsys):

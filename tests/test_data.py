@@ -1,3 +1,7 @@
+import hashlib
+import tracemalloc
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -18,8 +22,9 @@ from coocrefine import (
     write_labels,
     write_logits,
 )
+from coocrefine.data import binary_cells, finite_cells, read_table
 
-from oracles import brute_average_precision
+from oracles import brute_average_precision, whole_text_read_table
 
 LABELS_CSV = "sample_id,c0,c1\na,1,0\nb,1,1\nc,0,1\n"
 
@@ -137,6 +142,129 @@ class TestLoadLogits:
         assert np.array_equal(again.values, logits.values)
 
 
+# kind -> (key column, cell parser, whether the reader is given names and keys)
+READERS = {
+    "labels": ("sample_id", binary_cells, False),
+    "logits": ("sample_id", partial(finite_cells, what="logit"), True),
+    "A.csv": ("class", partial(finite_cells, what="conditional probability"), True),
+}
+
+
+def valid_table(kind):
+    """Header, rows, class names and keys of a valid ``kind`` file several
+    times larger than one read of a streamed text file (8 KiB)."""
+    if kind == "A.csv":
+        names = keys = tuple(f"c{j}" for j in range(60))
+        rows = [",".join([name, *("1.0" if j == i else f"0.{(i + j) % 9 + 1}"
+                                  for j in range(60))]) for i, name in enumerate(names)]
+    else:
+        names, keys = ("c0", "c1", "c2"), tuple(f"s{i:05d}" for i in range(2000))
+        cell = (lambda i, j: str((i + j) % 2)) if kind == "labels" else (
+            lambda i, j: repr((i * 7 + j) / 3 - 4.5))
+        rows = [",".join([key, *(cell(i, j) for j in range(3))]) for i, key in enumerate(keys)]
+    return ",".join([READERS[kind][0], *names]), rows, names, keys
+
+
+def joined(header, rows, sep="\n", end="\n"):
+    return (sep.join([header, *rows]) + end).encode("utf-8")
+
+
+def bad_cell(row):
+    return row.rsplit(",", 1)[0] + ",x"
+
+
+def inserted(row, char):
+    return row[:len(row) // 2] + char + row[len(row) // 2:]
+
+
+def late_bytes(header, rows, bad):
+    """The file with byte(s) ``bad`` in a row far past the first 8 KiB."""
+    head, tail = joined(header, rows[:-5]), joined(rows[-5], rows[-4:])
+    return head + tail[:3] + bad + tail[3:]
+
+
+# case -> the file's bytes, given a valid table's header and rows
+READ_CASES = {
+    "lf": lambda h, r: joined(h, r),
+    "crlf": lambda h, r: joined(h, r, "\r\n", "\r\n"),
+    "lone-cr": lambda h, r: joined(h, r, "\r", "\r"),
+    "mixed-endings": lambda h, r: b"".join(
+        line.encode() + (b"\n", b"\r\n", b"\r")[i % 3] for i, line in enumerate([h, *r])),
+    "cr-then-crlf": lambda h, r: joined(h, r, "\r\r\n"),
+    **{f"{name}-in-row": partial(lambda h, r, c: joined(h, [r[0], inserted(r[1], c), *r[2:]]),
+                                 c=char)
+       for name, char in (("ff", "\f"), ("vt", "\v"), ("x1c", "\x1c"), ("x85", "\x85"),
+                          ("u2028", "\u2028"))},
+    "blank-line-mid-file": lambda h, r: joined(h, [*r[:2], "", *r[2:]]),
+    "trailing-blank-line": lambda h, r: joined(h, r) + b"\n",
+    "no-final-newline": lambda h, r: joined(h, r, end=""),
+    "header-only": lambda h, r: joined(h, []),
+    "empty": lambda h, r: b"",
+    "bom": lambda h, r: b"\xef\xbb\xbf" + joined(h, r),
+    "bad-cell-late": lambda h, r: joined(h, [*r[:-5], bad_cell(r[-5]), *r[-4:]]),
+    "bad-cell-late-crlf": lambda h, r: joined(h, [*r[:-5], bad_cell(r[-5]), *r[-4:]], "\r\n"),
+    "ragged-row-late": lambda h, r: joined(h, [*r[:-3], r[-3].rsplit(",", 1)[0], *r[-2:]]),
+    "duplicate-key-late": lambda h, r: joined(h, [*r[:-1], r[0]]),
+    "non-utf8-byte-late": lambda h, r: late_bytes(h, r, b"\xff"),
+    "truncated-utf8-at-end": lambda h, r: joined(h, r) + b"\xc3",
+    "bad-cell-early-non-utf8-late": lambda h, r: late_bytes(h, [bad_cell(r[0]), *r[1:]], b"\xff"),
+    "extra-row-and-bad-cell": lambda h, r: joined(h, [bad_cell(r[0]), *r, r[0]]),
+    "missing-row-and-bad-cell": lambda h, r: joined(h, [bad_cell(r[0]), *r[1:-1]]),
+    "bad-header-non-utf8-late": lambda h, r: late_bytes("x" + h, r, b"\xff"),
+}
+
+
+OK_CASES = {"lf", "crlf", "lone-cr", "mixed-endings", "no-final-newline"}
+
+
+def read_outcome(reader, path, kind, names, keys):
+    key, cell, given = READERS[kind]
+    try:
+        keys, classes, values = reader(path, key, cell, *((names, keys) if given else ()))
+    except ValidationError as exc:
+        return "error", str(exc)
+    return "ok", keys, classes, values.dtype.str, values.shape, values.tobytes()
+
+
+class TestStreamedRead:
+    """``read_table`` streams its file, and decides every input as the
+    whole-text reader does: the same array, or the same message."""
+
+    @pytest.mark.parametrize("case", READ_CASES)
+    @pytest.mark.parametrize("kind", READERS)
+    def test_same_outcome_as_whole_text(self, tmp_path, kind, case):
+        header, rows, names, keys = valid_table(kind)
+        path = tmp_path / "t.csv"
+        path.write_bytes(READ_CASES[case](header, rows))
+        streamed = read_outcome(read_table, path, kind, names, keys)
+        assert streamed == read_outcome(whole_text_read_table, path, kind, names, keys)
+        # only a change of line ending keeps a file valid
+        assert (streamed[0] == "ok") == (case in OK_CASES)
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()],
+                             ids=["missing", "directory"])
+    def test_unreadable_file_same_message(self, tmp_path, make):
+        path = tmp_path / "t.csv"
+        make(path)
+        assert read_outcome(read_table, path, "labels", None, None) == read_outcome(
+            whole_text_read_table, path, "labels", None, None)
+
+    def test_load_logits_peak_memory_is_bounded(self, tmp_path):
+        labels, logits = synth_generate(spec_with(n_classes=80, n_samples=4000, clusters=()))
+        write_labels(labels, tmp_path / "l.csv")
+        write_logits(logits, labels, tmp_path / "g.csv")
+        labels = load_labels(tmp_path / "l.csv")
+        tracemalloc.start()
+        try:
+            loaded = load_logits(tmp_path / "g.csv", labels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(loaded.values, logits.values)
+        # the whole-text reader peaked at 5.0x: the text, its lines and the array
+        assert peak <= 3 * loaded.values.nbytes
+
+
 class TestTypes:
     def test_label_values_must_be_binary(self):
         with pytest.raises(ValidationError):
@@ -206,6 +334,27 @@ def test_label_checks_accept_binary(check, value):
 
 
 class TestSynthGenerate:
+    @pytest.mark.parametrize("overrides, digest", [
+        (dict(n_classes=7, n_samples=333, clusters=((0, 1, 2), (4, 5)), within_cluster_prob=0.9,
+              base_prob=0.2, signal_strength=(0.3, 2.0, 2.0, 1.0, 0.3, 2.0, 2.0), seed=7),
+         "5fa5e0a11520943771005c965ccc3c1457104b0326034d4df9489097adbd12d1"),
+        (dict(n_classes=5, n_samples=1, within_cluster_prob=0.5, base_prob=0.3,
+              signal_strength=2.0, noise_std=0.5, seed=3),
+         "62a3e4d2e1b2f92ba82d5fa5c1a5109cf445eba5546ec54b01b3fdfa521ed56e"),
+        (dict(n_classes=20, n_samples=1000, clusters=((0, 1, 2, 3), (4, 5, 6, 7)),
+              within_cluster_prob=0.9, base_prob=0.15, signal_strength=1.5, noise_std=1.3,
+              cluster_probs=(0.4, 0.1)),
+         "dccc501060febb94466c97d7179aa98c73fa95c1a7c05c0d38d34019281941ce"),
+        (dict(n_classes=3, n_samples=4, clusters=(), within_cluster_prob=0.0, base_prob=1.0,
+              signal_strength=0.0, noise_std=2.0, seed=0),
+         "685ab3497e6e3eb6bd35bb976936117db57b5ab34748a2e9216d6960adba50a7"),
+    ], ids=["per-class-strength", "one-odd-sample", "cluster-probs", "no-clusters"])
+    def test_output_is_pinned(self, overrides, digest):
+        """SHA-256 of the label and logit bytes, as first generated: the in-place
+        arithmetic must not move a bit."""
+        labels, logits = synth_generate(spec_with(**overrides))
+        assert hashlib.sha256(labels.values.tobytes() + logits.values.tobytes()).hexdigest() == digest
+
     def test_forced_cluster_equality(self):
         labels, _ = synth_generate(spec_with(within_cluster_prob=1.0))
         y = labels.values

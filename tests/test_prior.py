@@ -57,6 +57,7 @@ class TestConditionalProb:
         cooc = cooccurrence(labels_from([[1, 1, 0], [1, 0, 1], [0, 0, 1]]))
         cond = conditional_prob(cooc)
         assert cond.probs.tolist() == [[1.0, 0.5, 0.5], [1.0, 1.0, 0.0], [0.5, 0.0, 1.0]]
+        assert cond.cooc is cooc and CondProbMatrix(cond.probs).cooc is None
 
     def test_diagonal_is_one_for_observed_classes(self):
         cooc = cooccurrence(labels_from([[1, 1], [1, 0], [0, 1]]))
