@@ -383,8 +383,6 @@ def _subcommand(*required: str):
 
 @_subcommand()
 def cmd_synth(o):
-    if len(o.signal_strength) == 1:
-        o.signal_strength *= o.n_classes
     spec = _fill(SyntheticSpec, o)
     out = yield ["labels.csv", "logits.csv"]
     labels, logits = synth_generate(spec)

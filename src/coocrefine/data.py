@@ -107,8 +107,9 @@ class SyntheticSpec:
     ``within_cluster_prob``. Classes outside every cluster activate
     independently with ``base_prob``.
 
-    ``signal_strength`` may be a scalar or one value per class; class j's
-    logit is s_j * (2*y - 1) plus Gaussian noise with ``noise_std``.
+    ``signal_strength`` may be one value for every class (a scalar or a
+    one-value sequence) or one value per class; class j's logit is
+    s_j * (2*y - 1) plus Gaussian noise with ``noise_std``.
     """
 
     n_classes: int
@@ -125,9 +126,9 @@ class SyntheticSpec:
         object.__setattr__(
             self, "clusters", tuple(tuple(int(i) for i in c) for c in self.clusters)
         )
-        strength = self.signal_strength
-        if np.isscalar(strength):
-            strength = (float(strength),) * self.n_classes
+        strength = np.ravel(self.signal_strength).tolist()
+        if len(strength) == 1:
+            strength *= self.n_classes
         object.__setattr__(self, "signal_strength", tuple(float(s) for s in strength))
         if self.cluster_probs is not None:
             object.__setattr__(

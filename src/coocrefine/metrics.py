@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .data import LabelMatrix
 from .errors import ValidationError
@@ -184,6 +183,17 @@ def evaluate(
     )
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``v``; tied values share the mean of their ranks."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], v.size]
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
+
+
 def delta_ap_analysis(
     ap_before,
     ap_after,
@@ -199,7 +209,8 @@ def delta_ap_analysis(
     ap_before. Classes are grouped into [i*bin_size, (i+1)*bin_size)
     buckets of x; bins are emitted sorted by bin_low with their mean
     delta and class count, together with the Spearman rank correlation
-    between x and delta across the individual classes.
+    between x and delta across the individual classes: the Pearson
+    correlation of their ranks, where tied values share their average rank.
     """
     ap_before = np.asarray(ap_before, dtype=np.float64)
     ap_after = np.asarray(ap_after, dtype=np.float64)
@@ -233,10 +244,8 @@ def delta_ap_analysis(
     if np.all(x == x[0]) or np.all(delta == delta[0]):
         spearman, defined = 0.0, False
     else:
-        spearman = float(stats.spearmanr(x, delta).statistic)
-        defined = bool(np.isfinite(spearman))
-        if not defined:
-            spearman = 0.0
+        ranks = np.column_stack((_average_ranks(x), _average_ranks(delta)))
+        spearman, defined = float(np.corrcoef(ranks, rowvar=False)[1, 0]), True
 
     return DeltaApResult(
         bins=tuple(bins),

@@ -551,6 +551,32 @@ def test_module_entry_point_runs():
     assert "coocrefine" in proc.stdout
 
 
+def test_runtime_imports_no_scipy(fixtures):
+    # a child process: the Spearman oracle test loads scipy into this one
+    tmp_path, labels, logits = fixtures
+    negated = tmp_path / "negated.csv"
+    negated.write_text("sample_id,c0,c1,c2\na,-2.0,-1.5,1.0\nb,-1.0,2.0,-2.0\nc,1.5,1.0,-0.5\n")
+    script = """import sys
+from coocrefine.cli import main
+d, labels, before, after = sys.argv[1:]
+assert main(["prior", "--labels", labels, "--out-dir", d + "/prior"]) == 0
+assert main(["analyze", "--labels", labels, "--cond-prob", d + "/prior/A.csv",
+             "--before", before, "--after", after, "--k", "1", "--out-dir", d + "/analyze"]) == 0
+print(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"))
+"""
+    env = {**os.environ, "PYTHONPATH": str(Path(coocrefine.__file__).parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path), str(labels), str(logits), str(negated)],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    *summaries, loaded = proc.stdout.splitlines()
+    assert "defined)" in summaries[-1]         # the rank correlation was computed
+    assert loaded == "[]"
+
+
 def train_argv(labels, logits, out, *extra):
     return ["train", "--labels", str(labels), "--logits", str(logits), "--epochs", "1",
             "--gcn-dims", "1,4,1", *extra, "--out-dir", str(out)]

@@ -341,6 +341,9 @@ class TestSynthGenerate:
         (dict(n_classes=5, n_samples=1, within_cluster_prob=0.5, base_prob=0.3,
               signal_strength=2.0, noise_std=0.5, seed=3),
          "62a3e4d2e1b2f92ba82d5fa5c1a5109cf445eba5546ec54b01b3fdfa521ed56e"),
+        (dict(n_classes=5, n_samples=1, within_cluster_prob=0.5, base_prob=0.3,
+              signal_strength=(2.0,), noise_std=0.5, seed=3),
+         "62a3e4d2e1b2f92ba82d5fa5c1a5109cf445eba5546ec54b01b3fdfa521ed56e"),
         (dict(n_classes=20, n_samples=1000, clusters=((0, 1, 2, 3), (4, 5, 6, 7)),
               within_cluster_prob=0.9, base_prob=0.15, signal_strength=1.5, noise_std=1.3,
               cluster_probs=(0.4, 0.1)),
@@ -348,7 +351,8 @@ class TestSynthGenerate:
         (dict(n_classes=3, n_samples=4, clusters=(), within_cluster_prob=0.0, base_prob=1.0,
               signal_strength=0.0, noise_std=2.0, seed=0),
          "685ab3497e6e3eb6bd35bb976936117db57b5ab34748a2e9216d6960adba50a7"),
-    ], ids=["per-class-strength", "one-odd-sample", "cluster-probs", "no-clusters"])
+    ], ids=["per-class-strength", "one-odd-sample", "one-value-strength", "cluster-probs",
+            "no-clusters"])
     def test_output_is_pinned(self, overrides, digest):
         """SHA-256 of the label and logit bytes, as first generated: the in-place
         arithmetic must not move a bit."""

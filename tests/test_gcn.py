@@ -480,6 +480,7 @@ class TestSerialization:
         (5, "weights 0 -1 1", "line 5: expected 'weights 0 1 4'"),
         (5, "weights 0 1 5", "line 5: expected 'weights 0 1 4'"),
         (6, "0.5 x 0.5 0.5", "line 6: could not convert"),
+        (6, "0.5 nan 0.5 0.5", "layer 1 weights contain non-finite values"),
         (3, "slope 0.01", "line 3: expected leaky_slope"),
         (12, "0.5", "line 12: trailing content after weight blocks"),
     ])

@@ -182,6 +182,28 @@ class TestDeltaApAnalysis:
         result = delta_ap_analysis(np.zeros(n), delta, self.cond(probs), k=1)
         assert result.spearman_defined and result.spearman == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 7, 40, 151, 300])
+    def test_spearman_equals_scipy_bit_for_bit(self, n, ties):
+        from scipy import stats     # the oracle; the package itself does not use scipy
+
+        rng = np.random.default_rng(1000 * n + ties)
+        for _ in range(20):
+            if ties:    # a few distinct levels on both axes, all exact in binary
+                probs = np.repeat(rng.integers(1, 5, (n, 1)) / 8, n, axis=1)
+                before = rng.integers(0, 4, n) / 8
+                after = before + rng.integers(-2, 3, n) / 8
+            else:
+                probs, before, after = rng.random((n, n)), rng.random(n), rng.random(n)
+            np.fill_diagonal(probs, 1.0)
+            result = delta_ap_analysis(before, after, self.cond(probs), k=1)
+            x, delta = result.top_k_mean, result.delta_ap
+            if np.all(x == x[0]) or np.all(delta == delta[0]):
+                assert not result.spearman_defined
+                continue
+            assert result.spearman_defined
+            assert result.spearman == stats.spearmanr(x, delta).statistic
+
     def test_exclude_classes(self):
         cond = self.uniform_cond(4)
         result = delta_ap_analysis(
