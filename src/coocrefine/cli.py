@@ -64,7 +64,6 @@ from .errors import NumericError, ValidationError
 from .gcn import gcn_forward, load_model, save_model
 from .metrics import delta_ap_analysis, evaluate, per_class_average_precision
 from .prior import (
-    REWEIGHT_MODES,
     CondProbMatrix,
     _check_k,
     conditional_prob,
@@ -128,19 +127,15 @@ def _clusters(value) -> tuple[tuple[int, ...], ...]:
     return tuple(_ints(group) for group in str(value).split(";") if group)
 
 
-def _train_options():
-    """The training hyperparameters, as TrainConfig declares them."""
-    for f in fields(TrainConfig):
-        if isinstance(f.default, tuple):
-            yield Opt(f.name, ",".join(map(str, f.default)), _ints, f.metadata["help"])
-        else:
-            yield Opt(f.name, f.default, type(f.default), f.metadata["help"], f.metadata["choices"])
+def _train_option(f) -> Opt:
+    """A training hyperparameter's option, as TrainConfig declares it."""
+    if isinstance(f.default, tuple):
+        return Opt(f.name, ",".join(map(str, f.default)), _ints, f.metadata["help"])
+    return Opt(f.name, f.default, type(f.default), f.metadata["help"], f.metadata["choices"])
 
 
-_COMMON = (
-    Opt("seed", 0, int, "base seed; all stages derive from it"),
-    Opt("out_dir", ".", str, "output directory"),
-)
+_TRAIN = {f.name: _train_option(f) for f in fields(TrainConfig)}
+_COMMON = (_TRAIN["seed"], Opt("out_dir", ".", str, "output directory"))
 _A_CSV = "A.csv written by prior/train, classes in label-file order"
 
 # subcommand -> (help, options besides _COMMON); an option named like a
@@ -161,14 +156,14 @@ _SUBCOMMANDS = {
     )),
     "prior": ("co-occurrence counts, conditional probabilities, alphas", (
         Opt("labels", None, _input, "label CSV path"),
-        Opt("reweight_mode", "frequency", str, "per-class loss weights", REWEIGHT_MODES),
+        _TRAIN["reweight_mode"],
     )),
     "train": ("fit the refinement head", (
         Opt("labels", None, _input, "training label CSV"),
         Opt("logits", None, _input, "training logits CSV"),
         Opt("val_labels", None, _input, "validation label CSV"),
         Opt("val_logits", None, _input, "validation logits CSV"),
-        *_train_options(),
+        *_TRAIN.values(),
     )),
     "eval": ("evaluate raw and optionally refined logits", (
         Opt("labels", None, _input, "label CSV path"),

@@ -514,13 +514,13 @@ def gcn_backward(
     with np.errstate(over="ignore", invalid="ignore"):
         d_weights, input_grad = backward(cache, prop_t, grad_refined.T)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def d_input():
         # dL/da reads the a+ column where a > 0, the a- one where a < 0 and
         # the w1 one where a == 0
-        g = input_grad()
-        g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], g[:, :, 2]))
-        return (prop_t @ g_a).T + grad_refined
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = input_grad()
+            g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], g[:, :, 2]))
+            return (prop_t @ g_a).T + grad_refined
     return GcnGradients(tuple(d_weights), d_input)
 
 

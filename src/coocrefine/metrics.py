@@ -4,7 +4,10 @@ and the per-class improvement-vs-co-occurrence-strength analysis.
 Average precision uses the precision-at-positive-ranks estimator: samples
 are sorted by descending score (ties broken by ascending sample index),
 and AP is the mean over positives of the precision at each positive's
-rank. This equals the area under the precision-recall step function.
+rank, k / rank_k for the k-th positive. This equals the area under the
+precision-recall step function. ``per_class_average_precision`` is the one
+implementation; it checks that its labels are 0 or 1 once per matrix, and
+``average_precision`` is its one-column case.
 
 Aggregate conventions, also recorded in emitted reports:
 
@@ -74,22 +77,15 @@ class DeltaApResult:
 
 
 def average_precision(scores, labels) -> float:
-    """AP of one class: mean precision at the rank of each positive."""
+    """AP of one class: ``per_class_average_precision`` of one column."""
     scores = np.asarray(scores, dtype=np.float64).ravel()
     labels = np.asarray(labels).ravel()
     if scores.shape != labels.shape:
         raise ValidationError("scores and labels must have equal length")
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ValidationError("labels must be 0 or 1")
-    n_pos = int(labels.sum())
-    if n_pos == 0:
+    ap, excluded = per_class_average_precision(scores[:, None], labels[:, None])
+    if excluded:
         raise ValidationError("average precision needs at least one positive label")
-    # descending score, ties broken by ascending sample index
-    order = np.lexsort((np.arange(scores.size), -scores))
-    relevant = labels[order].astype(bool)
-    hits = np.cumsum(relevant)
-    ranks = np.flatnonzero(relevant) + 1
-    return float((hits[ranks - 1] / ranks).sum() / n_pos)
+    return float(ap[0])
 
 
 def per_class_average_precision(
@@ -98,21 +94,26 @@ def per_class_average_precision(
     """Per-class AP over columns; classes without positives are excluded.
 
     Returns (ap vector with 0.0 at excluded classes, excluded indices).
-    Both the before- and after-refinement sides of every comparison in
-    this package go through this single code path.
+    Every AP in this package, both sides of every comparison included, goes
+    through this single code path.
     """
     scores = np.asarray(scores, dtype=np.float64)
     label_values = np.asarray(label_values)
     if scores.shape != label_values.shape or scores.ndim != 2:
         raise ValidationError("scores and labels must be matching 2-d matrices")
-    n_classes = scores.shape[1]
-    ap = np.zeros(n_classes)
+    if not ((label_values == 0) | (label_values == 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+    ap = np.zeros(scores.shape[1])
     excluded = []
-    for j in range(n_classes):
-        if label_values[:, j].sum() == 0:
-            excluded.append(j)
+    for j in range(scores.shape[1]):
+        # descending score, ties broken by ascending sample index
+        order = np.argsort(-scores[:, j], kind="stable")
+        ranks = np.flatnonzero(label_values[order, j]) + 1
+        if ranks.size:
+            # the k-th positive has k hits at its rank
+            ap[j] = (np.arange(1, ranks.size + 1) / ranks).mean()
         else:
-            ap[j] = average_precision(scores[:, j], label_values[:, j])
+            excluded.append(j)
     return ap, tuple(excluded)
 
 
@@ -142,7 +143,7 @@ def evaluate(
         )
     if top_k is not None:
         if not 1 <= top_k <= labels.n_classes:
-            raise ValidationError("top_k must be in [1, n_classes]")
+            raise ValidationError(f"top_k must be in [1, {labels.n_classes}], got {top_k}")
         order = np.argsort(-scores, axis=1, kind="stable")
         preds = np.zeros_like(y)
         np.put_along_axis(preds, order[:, :top_k], True, axis=1)

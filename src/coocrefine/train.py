@@ -18,7 +18,7 @@ accumulation uses fixed-order reductions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -133,9 +133,8 @@ def sgd_step(
         new_velocity.append(v_next)
         new_weights.append(updated)
     new_model = object.__new__(GcnModel)
-    vars(new_model).update(layer_dims=model.layer_dims, weights=tuple(new_weights),
-                           leaky_slope=model.leaky_slope,
-                           final_nonlinearity=model.final_nonlinearity)
+    vars(new_model).update({f.name: getattr(model, f.name) for f in fields(model)},
+                           weights=tuple(new_weights))
     return new_model, tuple(new_velocity)
 
 
@@ -195,7 +194,7 @@ def train(
     model = init_model(
         config.gcn_dims, config.leaky_slope, config.seed, config.final_nonlinearity
     )
-    velocity = tuple(np.zeros_like(w) for w in model.weights)
+    velocity = None
 
     x = train_logits.values
     y = train_labels.values

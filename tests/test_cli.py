@@ -710,7 +710,10 @@ class TestDocumentedExits:
         (["train", "--labels", "{labels}", "--logits", "{logits}", "--val-labels", "{renamed}",
           "--val-logits", "{renamed_logits}", "--epochs", "1", "--gcn-dims", "1,4,1"],
          "validation class names differ from training"),
-    ], ids=["eval-condprob-k", "analyze-k", "analyze-bin-size", "train-val-class-names"])
+        (["eval", "--labels", "{labels}", "--logits", "{logits}", "--topk", "9"],
+         "top_k must be in [1, 3], got 9"),
+    ], ids=["eval-condprob-k", "analyze-k", "analyze-bin-size", "train-val-class-names",
+            "eval-topk"])
     def test_checks_on_read_inputs_create_no_out_dir(self, fixtures, capsys, argv, message):
         tmp_path, labels, logits = fixtures
         (tmp_path / "A.csv").write_text(A_CSV)

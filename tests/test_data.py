@@ -16,6 +16,7 @@ from coocrefine import (
     batches,
     load_labels,
     load_logits,
+    per_class_average_precision,
     rasl_loss,
     split,
     synth_generate,
@@ -317,6 +318,7 @@ LABEL_CHECKS = {
     "rasl_loss": lambda y: rasl_loss(
         np.zeros(y.shape), y, RaslParams(ReweightVector(np.ones(2), "none"))),
     "average_precision": lambda y: average_precision(np.arange(y.size, dtype=float), y),
+    "per_class_average_precision": lambda y: per_class_average_precision(np.zeros(y.shape), y),
 }
 
 

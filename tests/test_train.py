@@ -203,6 +203,7 @@ class TestTrain:
         ({"gcn_dims": (1, -3, 1)}, "gcn_dims: layer widths must be positive"),
         ({"gcn_dims": (1, 4, 2)}, "gcn_dims: first and last layer widths must be 1"),
         ({"gcn_dims": (1,)}, "gcn_dims: need at least one layer"),
+        ({"batch_size": 0}, "batch_size must be >= 1"),
     ])
     def test_config_names_the_bad_setting(self, fields, message):
         with pytest.raises(ValidationError, match=message):
