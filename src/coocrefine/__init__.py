@@ -42,7 +42,7 @@ from .prior import (
     reweighting,
     top_k_mean_condprob,
 )
-from .train import TrainConfig, TrainHistory, cosine_lr, sgd_step, train
+from .train import TrainConfig, cosine_lr, sgd_step, train
 
 __version__ = "0.1.0"
 
@@ -85,7 +85,6 @@ __all__ = [
     "reweighting",
     "top_k_mean_condprob",
     "TrainConfig",
-    "TrainHistory",
     "cosine_lr",
     "sgd_step",
     "train",

@@ -416,9 +416,9 @@ def cmd_train(o):
     _write_prior(out, labels.class_names, cond, weights)
     write_table(out / "history.csv", ("epoch", "loss", "lr", "val_mAP"), (
         (rec.epoch, rec.mean_loss, rec.lr, "" if rec.val_map is None else rec.val_map)
-        for rec in history.records
+        for rec in history
     ))
-    last = history.records[-1]
+    last = history[-1]
     msg = f"trained {config.epochs} epochs, final mean loss {last.mean_loss:.6g}"
     if last.val_map is not None:
         msg += f", val mAP {last.val_map:.4f}"

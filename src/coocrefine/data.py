@@ -86,14 +86,6 @@ class LogitMatrix:
             raise ValidationError("non-finite logit")
         object.__setattr__(self, "values", values)
 
-    @property
-    def n_samples(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class SyntheticSpec:

@@ -30,7 +30,7 @@ import numpy as np
 from .data import LabelMatrix
 from .errors import ValidationError
 from .loss import sigmoid
-from .prior import CondProbMatrix, top_k_mean_condprob
+from .prior import CondProbMatrix, _top_k_means
 
 
 @dataclass(frozen=True)
@@ -225,7 +225,7 @@ def delta_ap_analysis(
     if not keep:
         raise ValidationError("no classes left to analyze")
 
-    x = np.array([top_k_mean_condprob(cond, j, k) for j in keep])
+    x = _top_k_means(cond, k)[keep]
     delta = ap_after[keep] - ap_before[keep]
 
     # small guard so values sitting on a boundary land in the upper bin

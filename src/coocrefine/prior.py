@@ -69,7 +69,7 @@ class CondProbMatrix:
             raise ValidationError("conditional probabilities must be finite")
         if (probs < 0).any() or (probs > 1).any():
             raise ValidationError("conditional probabilities must lie in [0, 1]")
-        if not np.allclose(probs.diagonal(), 1.0):
+        if not (probs.diagonal() == 1.0).all():
             raise ValidationError("diagonal conditional probabilities must be 1")
         object.__setattr__(self, "probs", probs)
 
@@ -173,12 +173,16 @@ def _check_k(k: int, n_classes: int, name: str = "k") -> None:
         raise ValidationError(f"{name} must be in [1, {n_classes - 1}], got {k}")
 
 
+def _top_k_means(cond: CondProbMatrix, k: int) -> np.ndarray:
+    """Mean of the k largest off-diagonal conditional probabilities of every row."""
+    n = cond.n_classes
+    _check_k(k, n)
+    off_diagonal = cond.probs[~np.eye(n, dtype=bool)].reshape(n, n - 1)
+    return np.sort(off_diagonal, axis=1)[:, -k:].mean(axis=1)
+
+
 def top_k_mean_condprob(cond: CondProbMatrix, class_index: int, k: int) -> float:
     """Mean of the k largest off-diagonal conditional probabilities in a row."""
-    n = cond.n_classes
-    if not 0 <= class_index < n:
+    if not 0 <= class_index < cond.n_classes:
         raise ValidationError(f"class index {class_index} out of range")
-    _check_k(k, n)
-    row = np.delete(cond.probs[class_index], class_index)
-    top = np.sort(row)[-k:]
-    return float(top.mean())
+    return float(_top_k_means(cond, k)[class_index])

@@ -85,11 +85,6 @@ class EpochRecord:
     val_map: float | None
 
 
-@dataclass(frozen=True)
-class TrainHistory:
-    records: tuple[EpochRecord, ...]
-
-
 def cosine_lr(lr0: float, step: int, total_steps: int) -> float:
     """Cosine-annealed learning rate: lr0 at step 0, 0 at step total_steps.
 
@@ -173,11 +168,11 @@ def train(
     train_logits: LogitMatrix,
     config: TrainConfig,
     validation: tuple[LabelMatrix, LogitMatrix] | None = None,
-) -> tuple[GcnModel, ReweightVector, CondProbMatrix, TrainHistory]:
+) -> tuple[GcnModel, ReweightVector, CondProbMatrix, tuple[EpochRecord, ...]]:
     """Fit the refinement head; returns (model, reweighting, cond-prob, history).
 
-    The prior is estimated from the training split only. Aborts with a
-    diagnostic if the mean epoch loss goes non-finite.
+    The history holds one ``EpochRecord`` per epoch. The prior is estimated
+    from the training split only.
     """
     _check_data(train_labels, train_logits, validation)
 
@@ -210,14 +205,8 @@ def train(
             grads = gcn_backward(model, cond, cache, grad_logits)
             model, velocity = sgd_step(model, grads, lr, config.momentum, velocity)
             epoch_loss += batch_loss
-        mean_loss = epoch_loss / n
-        if not math.isfinite(mean_loss):
-            raise NumericError(
-                f"training diverged: mean loss {mean_loss} at epoch {epoch} "
-                f"(lr={lr:.6g})"
-            )
         val_map = None
         if validation is not None:
             val_map = _validation_map(model, cond, *validation)
-        records.append(EpochRecord(epoch, mean_loss, lr, val_map))
-    return model, weights, cond, TrainHistory(tuple(records))
+        records.append(EpochRecord(epoch, epoch_loss / n, lr, val_map))
+    return model, weights, cond, tuple(records)

@@ -35,6 +35,13 @@ def brute_conditional(counts):
     return probs
 
 
+def per_row_top_k_mean(probs, class_index, k):
+    """Mean of the k largest off-diagonal entries of one row, taken by
+    deleting the diagonal entry and sorting that row alone."""
+    row = np.delete(probs[class_index], class_index)
+    return np.sort(row)[-k:].mean()
+
+
 def brute_average_precision(scores, labels):
     """PR-step-function area by prefix enumeration.
 

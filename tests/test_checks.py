@@ -99,6 +99,8 @@ CHECKS = {
                     "conditional probabilities must be square"),
     "cond-range": (lambda: CondProbMatrix(np.array([[1.0, 1.5], [0.0, 1.0]])),
                    "conditional probabilities must lie in [0, 1]"),
+    "cond-diagonal-near-one": (lambda: CondProbMatrix(np.array([[1 - 1e-9, 0.0], [0.0, 1.0]])),
+                               "diagonal conditional probabilities must be 1"),
     "alphas-2d": (lambda: ReweightVector(np.ones((2, 2)), "none"), "alphas must be a vector"),
     "alphas-mode": (lambda: ReweightVector(np.ones(2), "bogus"), "unknown reweight mode 'bogus'"),
     "top-k-class": (lambda: top_k_mean_condprob(CondProbMatrix(np.eye(3)), 3, 1),

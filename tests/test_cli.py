@@ -739,11 +739,12 @@ class TestDocumentedExits:
 
     def test_cond_prob_diagonal_not_one_exits_1_naming_it(self, fixtures, capsys):
         tmp_path, labels, logits = fixtures
-        cond = tmp_path / "A.csv"
-        cond.write_text(A_CSV.replace("c1,1.0,1.0,0.0", "c1,1.0,0.5,0.0"))
         save_model(init_model((1, 4, 1), 0.01, 0, False), tmp_path / "model.txt")
-        assert main(["eval", "--labels", str(labels), "--logits", str(logits),
-                     "--model", str(tmp_path / "model.txt"), "--cond-prob", str(cond),
-                     "--out-dir", str(tmp_path / "out")]) == 1
-        err = capsys.readouterr().err
-        assert str(cond) in err and "diagonal" in err
+        for diagonal in ("0.5", "0.999999999"):
+            cond = tmp_path / f"A_{diagonal}.csv"
+            cond.write_text(A_CSV.replace("c1,1.0,1.0,0.0", f"c1,1.0,{diagonal},0.0"))
+            assert main(["eval", "--labels", str(labels), "--logits", str(logits),
+                         "--model", str(tmp_path / "model.txt"), "--cond-prob", str(cond),
+                         "--out-dir", str(tmp_path / "out")]) == 1
+            err = capsys.readouterr().err
+            assert str(cond) in err and "diagonal" in err

@@ -10,12 +10,14 @@ from coocrefine import (
     ValidationError,
     conditional_prob,
     cooccurrence,
+    delta_ap_analysis,
     reweighting,
     synth_generate,
     top_k_mean_condprob,
 )
+from coocrefine.prior import _top_k_means
 
-from oracles import brute_conditional, brute_cooccurrence
+from oracles import brute_conditional, brute_cooccurrence, per_row_top_k_mean
 
 
 def labels_from(rows):
@@ -162,6 +164,25 @@ class TestTopKMeanCondProb:
         cond = self.cond([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         for k in (1, 2):
             assert top_k_mean_condprob(cond, 1, k) == 0.0
+
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("n", [2, 3, 8, 20, 80, 300])
+    def test_every_row_equals_the_per_row_oracle(self, n, ties):
+        rng = np.random.default_rng(n)
+        probs = rng.random((n, n))
+        if ties:
+            probs = probs.round(1)
+        np.fill_diagonal(probs, 1.0)
+        cond = CondProbMatrix(probs)
+        exclude = range(0, n, 3)
+        keep = [j for j in range(n) if j not in exclude]
+        for k in sorted({min(max(k, 1), n - 1) for k in (1, 2, 3, 8, 9, n - 1)}):
+            expected = [per_row_top_k_mean(probs, j, k) for j in range(n)]
+            assert _top_k_means(cond, k).tolist() == expected
+            assert top_k_mean_condprob(cond, n - 1, k) == expected[-1]
+            result = delta_ap_analysis(np.zeros(n), rng.random(n), cond, k=k, exclude=exclude)
+            assert result.class_indices == tuple(keep)
+            assert result.top_k_mean.tolist() == [expected[j] for j in keep]
 
     def test_k_bounds(self):
         cond = self.cond([[1, 0.5], [0.5, 1]])

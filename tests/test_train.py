@@ -128,7 +128,7 @@ class TestTrain:
         reference = init_model((1, 4, 1), seed=3)
         for trained, fresh in zip(model.weights, reference.weights):
             assert np.array_equal(trained, fresh)
-        assert len(history.records) == 1
+        assert len(history) == 1
 
     def test_deterministic(self):
         labels, logits = tiny_dataset()
@@ -142,14 +142,14 @@ class TestTrain:
         labels, logits = tiny_dataset(seed=1)
         config = TrainConfig(epochs=10, batch_size=8, seed=1, gcn_dims=(1, 8, 1))
         _, _, _, history = train(labels, logits, config)
-        losses = [r.mean_loss for r in history.records]
+        losses = [r.mean_loss for r in history]
         assert losses[9] < losses[0]
 
     def test_lr_follows_schedule_exactly(self):
         labels, logits = tiny_dataset()
         config = TrainConfig(epochs=4, batch_size=8, seed=2, gcn_dims=(1, 4, 1))
         _, _, _, history = train(labels, logits, config)
-        for record in history.records:
+        for record in history:
             assert record.lr == cosine_lr(config.lr0, record.epoch, config.epochs)
             assert record.val_map is None
 
@@ -174,7 +174,7 @@ class TestTrain:
         (tl, tg), (vl, vg) = split(labels, logits, 0.75, seed=0)
         config = TrainConfig(epochs=2, batch_size=8, seed=0, gcn_dims=(1, 4, 1))
         _, _, _, history = train(tl, tg, config, validation=(vl, vg))
-        for record in history.records:
+        for record in history:
             assert record.val_map is not None and 0.0 <= record.val_map <= 1.0
 
     def test_divergence_guard_raises(self):
@@ -214,4 +214,4 @@ def test_history_loss_values_are_finite():
     labels, logits = tiny_dataset(seed=10)
     config = TrainConfig(epochs=3, batch_size=8, seed=1, gcn_dims=(1, 4, 1))
     _, _, _, history = train(labels, logits, config)
-    assert all(math.isfinite(r.mean_loss) for r in history.records)
+    assert all(math.isfinite(r.mean_loss) for r in history)
