@@ -40,7 +40,6 @@ from .prior import (
     conditional_prob,
     cooccurrence,
     reweighting,
-    top_k_mean_condprob,
 )
 from .train import TrainConfig, cosine_lr, sgd_step, train
 
@@ -83,7 +82,6 @@ __all__ = [
     "conditional_prob",
     "cooccurrence",
     "reweighting",
-    "top_k_mean_condprob",
     "TrainConfig",
     "cosine_lr",
     "sgd_step",

@@ -379,8 +379,8 @@ def _subcommand(*required: str):
 @_subcommand()
 def cmd_synth(o):
     spec = _fill(SyntheticSpec, o)
-    out = yield ["labels.csv", "logits.csv"]
     labels, logits = synth_generate(spec)
+    out = yield ["labels.csv", "logits.csv"]
     labels_path, logits_path = out / "labels.csv", out / "logits.csv"
     write_labels(labels, labels_path)
     write_logits(logits, labels, logits_path)

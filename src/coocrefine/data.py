@@ -28,7 +28,7 @@ import numpy as np
 
 from ._arrays import frozen_array
 from .errors import ValidationError
-from .seeding import STREAM_BATCH, STREAM_SPLIT, STREAM_SYNTH, gaussian, rng_for
+from .seeding import STREAM_BATCH, STREAM_SPLIT, STREAM_SYNTH, _check_seed, gaussian, rng_for
 
 
 @dataclass(frozen=True)
@@ -150,10 +150,13 @@ class SyntheticSpec:
                 raise ValidationError("cluster_probs must be in [0, 1]")
         if len(self.signal_strength) != self.n_classes:
             raise ValidationError("signal_strength length must match n_classes")
+        if not all(map(math.isfinite, self.signal_strength)):
+            raise ValidationError("signal_strength must be finite")
         if any(s < 0 for s in self.signal_strength):
             raise ValidationError("signal_strength must be non-negative")
-        if not self.noise_std > 0:
-            raise ValidationError("noise_std must be positive")
+        if not 0 < self.noise_std < math.inf:
+            raise ValidationError("noise_std must be positive and finite")
+        _check_seed(self.seed)
 
 
 def read_lines(path, newline=""):

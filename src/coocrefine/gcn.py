@@ -36,8 +36,6 @@ that form; no array as wide as a hidden layer is built per node:
   the last. Within a sector every unit has one LeakyReLU slope, so the
   sector's slope row D_s makes the head linear there:
   ``H_2 W_3 = g = q+ c+_s + q- c-_s`` with ``c±_s = (D_s ⊙ A|B) W_3``.
-  The coefficient table also holds ``cw_s = (D_s ⊙ w1 W_2) W_3``, which
-  carries the input gradient where ``a == 0``.
 * The point ``q+ = q- = 0`` is a sector of its own, with every slope 1.
 * Tie rule: at ``t == t_k`` unit k's pre-activation is 0 and takes the
   slope 1 of the ``z >= 0`` branch, which the breakpoint's own sector
@@ -57,11 +55,11 @@ their last digits from those of versions that evaluated the formula
 literally or layer by layer.
 
 Gradients are computed analytically in reverse mode; the LeakyReLU
-subgradient at exactly 0 uses the positive-branch slope 1. The input
-gradient ``GcnGradients.d_input`` is computed, and finiteness-checked,
-when first read, so training, which never reads it, never computes it.
-Forward and backward are pure functions of their inputs and bitwise
-deterministic.
+subgradient at exactly 0 uses the positive-branch slope 1, so where a == 0
+the input gradient is the a+ and a- paths' sum over 1 + s, with s layer 1's
+slope. ``GcnGradients.d_input`` is computed, and finiteness-checked, when
+first read, so training, which never reads it, never computes it. Forward
+and backward are pure functions of their inputs and bitwise deterministic.
 What follows from the weights alone, layer 1's rows and the sector table,
 belongs to the model: a ``GcnModel`` builds each once, when first read,
 and keeps it. A forward cache holds only the arrays of its batch, plus
@@ -155,14 +153,10 @@ class GcnModel:
 
     @cached_property
     def first_layer(self) -> tuple[np.ndarray, np.ndarray]:
-        """Rows ``[u+; u-; w1]`` of layer 1 and the slopes ``[d+; d-]``.
-
-        ``H_1 = a+ ⊗ u+ + a- ⊗ u-`` with ``u± = w1 * d±``; the row ``w1``
-        carries the gradient where ``a == 0``.
-        """
+        """Rows ``u± = w1 * d±`` of ``H_1 = a+ ⊗ u+ + a- ⊗ u-`` and the slopes ``d±``."""
         w1 = self.weights[0][0]
-        slopes = _dleaky(_SIGNS * w1, self.leaky_slope if _activated(self, 0) else 1.0)
-        return np.concatenate([w1 * slopes, self.weights[0]]), slopes
+        slopes = _dleaky(_SIGNS * w1, _first_slope(self))
+        return w1 * slopes, slopes
 
     @cached_property
     def sectors(self) -> HeadSectors:
@@ -241,10 +235,10 @@ class HeadSectors:
     ``q+ = q- = 0``.
     """
 
-    factors: np.ndarray     # (3, d_2): rows A = u+ W_2, B = u- W_2, C = w1 W_2
+    factors: np.ndarray     # (2, d_2): rows A = u+ W_2 and B = u- W_2
     breaks: np.ndarray      # (m,) distinct breakpoints B_k / (A_k + B_k) in [0, 1], ascending
     slopes: np.ndarray      # (2m + 2, d_2): the slope row D_s of every sector
-    coeffs: np.ndarray      # (2m + 2, 3): c+_s, c-_s and cw_s of every sector
+    coeffs: np.ndarray      # (2m + 2, 2): c+_s and c-_s of every sector
 
 
 @dataclass(frozen=True)
@@ -293,6 +287,11 @@ def _dleaky(z: np.ndarray, slope: float) -> np.ndarray:
 
 def _activated(model: GcnModel, layer: int) -> bool:
     return layer < model.n_layers - 1 or model.final_nonlinearity
+
+
+def _first_slope(model: GcnModel) -> float:
+    """Layer 1's negative-branch slope: 1 if it is linear."""
+    return model.leaky_slope if _activated(model, 0) else 1.0
 
 
 def _flat(x: np.ndarray) -> np.ndarray:
@@ -348,7 +347,7 @@ def _sector_forward(
         top_pos, top_neg = q_pos.max(initial=0.0), -q_neg.min(initial=0.0)
         # |Z_2| = |q+ A + q- B| is at most top+ max|A| + top- max|B|, and the
         # denominator q+ - q- of t at most top+ + top-
-        peak_a, peak_b = 1.0 + np.abs(sectors.factors[:2]).max(axis=1)
+        peak_a, peak_b = 1.0 + np.abs(sectors.factors).max(axis=1)
         peak = top_pos * peak_a + top_neg * peak_b
     if not np.isfinite(peak):
         raise NumericError("non-finite value at layer 2")
@@ -370,13 +369,12 @@ def _layer_forward(
 ) -> tuple[np.ndarray, GcnCache]:
     """Output ``(N, batch)`` and cache of a head of any depth, layer by layer."""
     rows = model.first_layer[0]
-    # the signal entering each layer is f @ u, with u None once it is dense
-    f, u = _split(a), rows[:2]
-    signals = []
-    zs = []
+    # H_1 = F @ [u+; u-] stays factored: layer 2 mixes F with [u+; u-] @ W_2
+    f = _split(a)
+    signals, zs = [], []
     for l in range(1, model.n_layers):
         with np.errstate(over="ignore", invalid="ignore"):
-            v = model.weights[l] if u is None else u @ model.weights[l]
+            v = model.weights[l] if l > 1 else rows @ model.weights[l]
             # propagate the narrower side: P (F V) or (P F) V
             if v.shape[1] < f.shape[-1]:
                 m = f
@@ -389,9 +387,8 @@ def _layer_forward(
         signals.append(m)
         zs.append(z)
         f = _leaky(z, model.leaky_slope) if _activated(model, l) else z
-        u = None
     with np.errstate(over="ignore", invalid="ignore"):
-        h = f if u is None else _mix(f, u)
+        h = f if model.n_layers > 1 else _mix(f, rows)
     return h[:, :, 0], GcnCache(model, prop, a, tuple(signals), tuple(zs))
 
 
@@ -428,7 +425,7 @@ def gcn_forward(
 
 
 def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
-    """Weight gradients and a function for ``[dL/da+, dL/da-, w1 path]``, ``(N, batch, 3)``."""
+    """Weight gradients and a function for ``[dL/da+, dL/da-]``, ``(N, batch, 2)``."""
     model, sectors = cache.model, cache.model.sectors
     n, batch = cache.first_input.shape
     if model.final_nonlinearity:
@@ -443,13 +440,13 @@ def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
     d_ab = r * model.weights[2][:, 0]
     rows, slopes = model.first_layer
     d_w1 = (slopes * (d_ab @ model.weights[1].T)).sum(axis=0, keepdims=True)
-    d_w3 = (sectors.factors[:2] * r).sum(axis=0)[:, None]
-    return [d_w1, rows[:2].T @ d_ab, d_w3], lambda: (prop_t @ (
-        back[:, :, None] * sectors.coeffs[cache.sector_ids]).reshape(n, -1)).reshape(n, batch, 3)
+    d_w3 = (sectors.factors * r).sum(axis=0)[:, None]
+    return [d_w1, rows.T @ d_ab, d_w3], lambda: (prop_t @ (
+        back[:, :, None] * sectors.coeffs[cache.sector_ids]).reshape(n, -1)).reshape(n, batch, 2)
 
 
 def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
-    """Weight gradients and a function for ``[dL/da+, dL/da-, w1 path]``, ``(N, batch, 3)``."""
+    """Weight gradients and a function for ``[dL/da+, dL/da-]``, ``(N, batch, 2)``."""
     model = cache.model
     n_layers = model.n_layers
     rows, slopes = model.first_layer
@@ -460,8 +457,7 @@ def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
         if _activated(model, l):
             g = g * _dleaky(cache.later_zs[l - 1], model.leaky_slope)
         m = cache.signals[l - 1]
-        # layer 2 reads H_1 = F @ [u+; u-]; the extra row w1 gives dL/da at a == 0
-        v = w if l > 1 else rows @ w
+        v = w if l > 1 else rows @ w        # layer 2 reads H_1 = F @ [u+; u-]
         if w.shape[1] < m.shape[-1]:
             back = _propagate(prop_t, g)
             d_v = _flat(m).T @ _flat(back)
@@ -472,7 +468,7 @@ def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
         if l > 1:
             d_weights[l] = d_v
         else:
-            d_weights[1] = rows[:2].T @ d_v
+            d_weights[1] = rows.T @ d_v
             d_u = d_v @ w.T
     if n_layers == 1:           # the output is H_1 = F @ [u+; u-] itself
         d_u = _flat(_split(cache.first_input)).T @ _flat(g)
@@ -515,11 +511,12 @@ def gcn_backward(
         d_weights, input_grad = backward(cache, prop_t, grad_refined.T)
 
     def d_input():
-        # dL/da reads the a+ column where a > 0, the a- one where a < 0 and
-        # the w1 one where a == 0
+        # dL/da reads the a+ column where a > 0, the a- one where a < 0, and
+        # their sum over 1 + s where a == 0: there dH_1/da = w1 = (u+ + u-) / (1 + s)
         with np.errstate(over="ignore", invalid="ignore"):
             g = input_grad()
-            g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], g[:, :, 2]))
+            at_zero = (g[:, :, 0] + g[:, :, 1]) / (1.0 + _first_slope(model))
+            g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], at_zero))
             return (prop_t @ g_a).T + grad_refined
     return GcnGradients(tuple(d_weights), d_input)
 

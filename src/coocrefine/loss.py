@@ -126,12 +126,9 @@ def rasl_grad(logits: np.ndarray, labels: np.ndarray, params: RaslParams) -> np.
     sm = s * one_m                  # d sigmoid / d logit
     alpha = params.alphas.alphas[None, :]
 
-    inner_p = one_m
-    if gp > 0:
-        # s*log(s) -> 0 as s -> 0
-        slog = np.where(s > tiny, s * np.log(np.maximum(s, tiny)), 0.0)
-        inner_p = one_m - gp * slog
-    g_pos = -alpha * one_m ** gp * inner_p
+    # s*log(s) -> 0 as s -> 0; finite, so at gamma_pos = 0 the bracket is 1-s exactly
+    slog = np.where(s > tiny, s * np.log(np.maximum(s, tiny)), 0.0)
+    g_pos = -alpha * one_m ** gp * (one_m - gp * slog)
 
     sd = np.maximum(s - params.delta, 0.0)
     active = s > params.delta

@@ -220,7 +220,10 @@ def delta_ap_analysis(
         raise ValidationError("AP vectors must align with the probability matrix classes")
     if not bin_size > 0:
         raise ValidationError("bin_size must be positive")
-    excluded = set(int(i) for i in exclude)
+    excluded = [int(i) for i in exclude]
+    for i in excluded:
+        if not 0 <= i < n:
+            raise ValidationError(f"exclude index {i} out of range for {n} classes")
     keep = [j for j in range(n) if j not in excluded]
     if not keep:
         raise ValidationError("no classes left to analyze")

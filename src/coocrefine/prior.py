@@ -155,16 +155,14 @@ def reweighting(cooc: CoocMatrix, mode: str = "frequency") -> ReweightVector:
     frequency: alpha_j = (sum_k c_kk) / max(c_jj, 1), i.e. the inverse of
     class j's relative frequency share; rarer classes get larger weights.
     Zero counts are clamped to 1, and an all-zero diagonal degrades to
-    uniform weights of 1. none: alpha_j = 1.
+    uniform weights of 1. none: alpha_j = 1. ReweightVector rejects any other mode.
     """
     if mode == "frequency":
         diag = cooc.counts.diagonal().astype(np.float64)
         total = max(float(diag.sum()), 1.0)
         alphas = total / np.maximum(diag, 1.0)
-    elif mode == "none":
-        alphas = np.ones(cooc.n_classes)
     else:
-        raise ValidationError(f"unknown reweight mode '{mode}'")
+        alphas = np.ones(cooc.n_classes)
     return ReweightVector(alphas, mode)
 
 
@@ -179,10 +177,3 @@ def _top_k_means(cond: CondProbMatrix, k: int) -> np.ndarray:
     _check_k(k, n)
     off_diagonal = cond.probs[~np.eye(n, dtype=bool)].reshape(n, n - 1)
     return np.sort(off_diagonal, axis=1)[:, -k:].mean(axis=1)
-
-
-def top_k_mean_condprob(cond: CondProbMatrix, class_index: int, k: int) -> float:
-    """Mean of the k largest off-diagonal conditional probabilities in a row."""
-    if not 0 <= class_index < cond.n_classes:
-        raise ValidationError(f"class index {class_index} out of range")
-    return float(_top_k_means(cond, k)[class_index])

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ValidationError
+
 # Stream tags: the documented fan-out of the single --seed value.
 STREAM_SYNTH = 1   # synthetic dataset generation
 STREAM_SPLIT = 2   # train/test splitting
@@ -23,8 +25,14 @@ STREAM_BATCH = 3   # per-epoch batch shuffling (extra = epoch index)
 STREAM_INIT = 4    # model weight initialization
 
 
+def _check_seed(seed) -> None:
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValidationError("seed must be a non-negative integer")
+
+
 def rng_for(seed: int, stream: int, *extra: int) -> np.random.Generator:
     """Philox generator keyed by (seed, stream, *extra)."""
+    _check_seed(seed)
     entropy = [int(seed), int(stream), *(int(e) for e in extra)]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 

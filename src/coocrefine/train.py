@@ -35,6 +35,7 @@ from .prior import (
     cooccurrence,
     reweighting,
 )
+from .seeding import _check_seed
 
 
 def _hp(default, help: str, choices: tuple = ()):
@@ -75,6 +76,7 @@ class TrainConfig:
             raise ValidationError("momentum must be in [0, 1)")
         _check_settings(self.gamma_pos, self.gamma_neg, self.delta, self.eps)
         _check_slope(self.leaky_slope)
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -141,8 +141,7 @@ def stacked_sector_table(weights, slope):
     stacked below them."""
     w1 = weights[0][0]
     first = np.where(np.array([[1.0], [-1.0]]) * w1 >= 0, 1.0, slope)
-    rows = np.concatenate([w1 * first, weights[0]])
-    factors = rows @ weights[1]
+    factors = (w1 * first) @ weights[1]
     pos, neg = factors[0], factors[1]
     total = pos + neg
     t = np.divide(neg, total, out=np.full_like(neg, -1.0), where=total != 0)

@@ -30,10 +30,10 @@ from coocrefine import (
     rasl_loss,
     sgd_step,
     split,
-    top_k_mean_condprob,
     train,
     write_logits,
 )
+from coocrefine.seeding import rng_for
 
 
 def labels(n=2):
@@ -65,6 +65,9 @@ CHECKS = {
     "spec-cluster-probs-range": (lambda: spec(cluster_probs=(1.5,)),
                                  "cluster_probs must be in [0, 1]"),
     "spec-strength": (lambda: spec(signal_strength=-1.0), "signal_strength must be non-negative"),
+    "spec-strength-nan": (lambda: spec(signal_strength=np.nan), "signal_strength must be finite"),
+    "spec-noise-inf": (lambda: spec(noise_std=np.inf), "noise_std must be positive and finite"),
+    "spec-seed": (lambda: spec(seed=-1), "seed must be a non-negative integer"),
     "write-logits-shape": (lambda: write_logits(LogitMatrix(np.zeros((2, 3))), labels(), os.devnull),
                            "logits shape does not match labels"),
     "split-shape": (lambda: split(labels(), LogitMatrix(np.zeros((2, 3))), 0.5, 0),
@@ -90,6 +93,10 @@ CHECKS = {
                                                      CondProbMatrix(np.eye(2)), k=1,
                                                      exclude=(0, 1)),
                            "no classes left to analyze"),
+    "delta-ap-exclude-range": (lambda: delta_ap_analysis(np.zeros(3), np.zeros(3),
+                                                         CondProbMatrix(np.eye(3)), k=1,
+                                                         exclude=(5, -1)),
+                               "exclude index 5 out of range for 3 classes"),
     # prior.py
     "cooc-square": (lambda: CoocMatrix(np.zeros((2, 3))), "co-occurrence counts must be square"),
     "cooc-negative": (lambda: CoocMatrix(-np.eye(2)), "co-occurrence counts must be non-negative"),
@@ -103,8 +110,8 @@ CHECKS = {
                                "diagonal conditional probabilities must be 1"),
     "alphas-2d": (lambda: ReweightVector(np.ones((2, 2)), "none"), "alphas must be a vector"),
     "alphas-mode": (lambda: ReweightVector(np.ones(2), "bogus"), "unknown reweight mode 'bogus'"),
-    "top-k-class": (lambda: top_k_mean_condprob(CondProbMatrix(np.eye(3)), 3, 1),
-                    "class index 3 out of range"),
+    # seeding.py
+    "rng-seed": (lambda: rng_for(-1, 1), "seed must be a non-negative integer"),
     # train.py
     "cosine-steps": (lambda: cosine_lr(0.1, 0, 0), "total_steps must be >= 1"),
     "sgd-layer-count": (lambda: sgd_step(init_model((1, 1), seed=0), GcnGradients((), None), 0.1),
@@ -112,6 +119,7 @@ CHECKS = {
     "validation-shape": (lambda: train(labels(), LogitMatrix(np.zeros((2, 2))), TrainConfig(),
                                        (labels(), LogitMatrix(np.zeros((2, 3))))),
                          "validation labels and logits shapes differ"),
+    "train-seed": (lambda: TrainConfig(seed=-1), "seed must be a non-negative integer"),
 }
 
 

@@ -691,11 +691,17 @@ class TestDocumentedExits:
         ["synth", "--n-classes", "1"],
         ["prior", "--labels", "{missing}"],
         ["eval", "--labels", "{labels}", "--logits", "{missing}"],
-    ], ids=["synth-one-class", "prior-missing-labels", "eval-missing-logits"])
+        ["synth", "--seed", "-1"],
+        ["synth", "--noise-std", "inf"],
+        ["synth", "--signal-strength", "nan"],
+        ["train", "--labels", "{labels}", "--logits", "{logits}", "--seed", "-1"],
+    ], ids=["synth-one-class", "prior-missing-labels", "eval-missing-logits", "synth-seed",
+            "synth-noise-inf", "synth-strength-nan", "train-seed"])
     def test_exit_1_creates_no_out_dir(self, fixtures, capsys, argv):
-        tmp_path, labels, _ = fixtures
+        tmp_path, labels, logits = fixtures
         out = tmp_path / "out"
-        argv = [arg.format(labels=labels, missing=tmp_path / "absent.csv") for arg in argv]
+        argv = [arg.format(labels=labels, logits=logits, missing=tmp_path / "absent.csv")
+                for arg in argv]
         assert main([*argv, "--out-dir", str(out)]) == 1
         assert "error:" in capsys.readouterr().err
         assert not out.exists()

@@ -13,7 +13,6 @@ from coocrefine import (
     delta_ap_analysis,
     reweighting,
     synth_generate,
-    top_k_mean_condprob,
 )
 from coocrefine.prior import _top_k_means
 
@@ -147,7 +146,7 @@ class TestTopKMeanCondProb:
 
     def test_equal_off_diagonals(self):
         cond = self.cond([[1, 0.5, 0.5], [0.5, 1, 0.5], [0.5, 0.5, 1]])
-        assert top_k_mean_condprob(cond, 0, 2) == 0.5
+        assert _top_k_means(cond, 2)[0] == 0.5
 
     def test_mean_of_top_two(self):
         cond = self.cond(
@@ -158,12 +157,12 @@ class TestTopKMeanCondProb:
                 [0.0, 0.0, 0.0, 1.0],
             ]
         )
-        assert top_k_mean_condprob(cond, 0, 2) == pytest.approx(0.5)
+        assert _top_k_means(cond, 2)[0] == pytest.approx(0.5)
 
     def test_identity_row_is_zero(self):
         cond = self.cond([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
         for k in (1, 2):
-            assert top_k_mean_condprob(cond, 1, k) == 0.0
+            assert _top_k_means(cond, k)[1] == 0.0
 
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("n", [2, 3, 8, 20, 80, 300])
@@ -179,7 +178,7 @@ class TestTopKMeanCondProb:
         for k in sorted({min(max(k, 1), n - 1) for k in (1, 2, 3, 8, 9, n - 1)}):
             expected = [per_row_top_k_mean(probs, j, k) for j in range(n)]
             assert _top_k_means(cond, k).tolist() == expected
-            assert top_k_mean_condprob(cond, n - 1, k) == expected[-1]
+            assert _top_k_means(cond, k)[n - 1] == expected[-1]
             result = delta_ap_analysis(np.zeros(n), rng.random(n), cond, k=k, exclude=exclude)
             assert result.class_indices == tuple(keep)
             assert result.top_k_mean.tolist() == [expected[j] for j in keep]
@@ -187,6 +186,6 @@ class TestTopKMeanCondProb:
     def test_k_bounds(self):
         cond = self.cond([[1, 0.5], [0.5, 1]])
         with pytest.raises(ValidationError):
-            top_k_mean_condprob(cond, 0, 2)
+            _top_k_means(cond, 2)
         with pytest.raises(ValidationError):
-            top_k_mean_condprob(cond, 0, 0)
+            _top_k_means(cond, 0)

@@ -1,7 +1,9 @@
 """Run a fixed list of coocrefine CLI cases against one source tree and
-print, as JSON, what each case returned and wrote.
+print, as JSON, what each case returned and wrote; or against two trees and
+print where they differ.
 
     python tools/cli_sweep.py <tree> > sweep.json
+    python tools/cli_sweep.py <parent-tree> <change-tree>
 
 Each case runs as ``python -m coocrefine <args>`` in a child process with
 ``PYTHONPATH=<tree>/src`` and ``OPENBLAS_NUM_THREADS=1``, inside one fresh
@@ -11,6 +13,10 @@ the exit code and the SHA-256 of its stdout and stderr; the SHA-256 of every
 file left in the directory; and two overall digests, ``records_sha256`` over
 the cases and ``files_sha256`` over the files. Two trees whose overall
 digests are equal ran every case alike and wrote byte-identical files.
+
+Given two trees, it sweeps each, prints every case and file whose digests
+differ and both trees' overall digests, and exits 1 if anything differs.
+Given the same tree twice, it checks that the CLI is deterministic.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ CASES = (
     ("train-linear-gamma-pos-0", (*TRAIN, "--gcn-dims", "1,1", "--gamma-pos", "0",
                                   "--out-dir", "train_linear")),
     ("train-lr0-10", (*TRAIN, "--lr0", "10", "--out-dir", "train_lr10")),
+    ("train-final-nonlinearity", (*TRAIN, "--final-nonlinearity", "--out-dir", "train_final")),
     ("eval-raw", ("eval", *DATA, "--out-dir", "eval_raw")),
     ("eval-refined-out", ("eval", *DATA, *MODEL, "--refined-out", "refined.csv",
                           "--out-dir", "eval_refined")),
@@ -74,6 +81,9 @@ CASES = (
     ("exit-1-k-0", (*ANALYZE, "--model", "train_val/model.txt", "--logits", "data/logits.csv",
                     "--k", "0", "--out-dir", "bad_k")),
     ("exit-1-eps-1", (*TRAIN, "--eps", "1", "--out-dir", "bad_eps")),
+    ("exit-1-synth-seed", ("synth", "--seed", "-1", "--out-dir", "bad_synth_seed")),
+    ("exit-1-synth-noise-inf", ("synth", "--noise-std", "inf", "--out-dir", "bad_noise")),
+    ("exit-1-train-seed", (*TRAIN, "--seed", "-1", "--out-dir", "bad_train_seed")),
     ("help", ("--help",)),
     *((f"help-{sub}", (sub, "--help")) for sub in ("synth", "prior", "train", "eval", "analyze")),
 )
@@ -105,11 +115,31 @@ def sweep(tree: Path) -> dict:
     }
 
 
-def main() -> None:
+def differences(a: dict, b: dict) -> list[str]:
+    """The cases and files of two sweeps whose digests differ."""
+    cases = [f"case {x['case']}" for x, y in zip(a["records"], b["records"]) if x != y]
+    names = sorted(a["files"].keys() | b["files"].keys())
+    return cases + [f"file {name}" for name in names if a["files"].get(name) != b["files"].get(name)]
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", type=Path, help="source tree holding src/coocrefine")
-    print(json.dumps(sweep(parser.parse_args().tree), indent=2))
+    parser.add_argument("other", type=Path, nargs="?", help="a second tree to compare with")
+    args = parser.parse_args()
+    if args.other is None:
+        print(json.dumps(sweep(args.tree), indent=2))
+        return 0
+    a, b = sweep(args.tree), sweep(args.other)
+    diff = differences(a, b)
+    for line in diff:
+        print(f"differs: {line}")
+    for tree, result in ((args.tree, a), (args.other, b)):
+        print(f"{tree}: records_sha256 {result['records_sha256']} "
+              f"files_sha256 {result['files_sha256']}")
+    print(f"{len(diff)} differences over {len(CASES)} cases and {len(a['files'])} files")
+    return 1 if diff else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
