@@ -244,7 +244,7 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace, dict]:
                 recorded[name] = file_inputs[name]
         if opt.choices and value not in opt.choices:
             raise ValidationError(f"invalid {_flag(name)} '{value}' (one of {opt.choices})")
-        if _wrong_kind(value, opt.type):
+        if _wrong_kind(value, opt.type) or (value is None and opt.default is not None):
             raise ValidationError(f"invalid {_flag(name)} '{value}'")
         try:
             typed[name] = None if value is None else opt.type(value)

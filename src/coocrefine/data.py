@@ -133,9 +133,11 @@ class SyntheticSpec:
             raise ValidationError("need at least 1 sample")
         seen: set[int] = set()
         for cluster in self.clusters:
-            for idx in cluster:
+            for i, idx in enumerate(cluster):
                 if not 0 <= idx < self.n_classes:
                     raise ValidationError(f"cluster index {idx} out of range")
+                if idx in cluster[:i]:
+                    raise ValidationError(f"class {idx} appears more than once in one cluster")
                 if idx in seen:
                     raise ValidationError(f"class {idx} appears in more than one cluster")
                 seen.add(idx)
@@ -348,8 +350,11 @@ def synth_generate(spec: SyntheticSpec) -> tuple[LabelMatrix, LogitMatrix]:
         members[np.arange(n), chosen] = True
         y[:, list(cluster)] = members & active[:, None]
 
-    logit_values = gaussian(rng, (n, n_classes), spec.noise_std)
-    logit_values += np.array(spec.signal_strength) * (2.0 * y - 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        logit_values = gaussian(rng, (n, n_classes), spec.noise_std)
+        logit_values += np.array(spec.signal_strength) * (2.0 * y - 1.0)
+    if not np.isfinite(logit_values).all():
+        raise ValidationError("logits overflow float64: lower noise_std or signal_strength")
 
     width = max(6, len(str(n - 1)))
     ids = tuple(f"s{i:0{width}d}" for i in range(n))

@@ -63,8 +63,8 @@ and backward are pure functions of their inputs and bitwise deterministic.
 What follows from the weights alone, layer 1's rows and the sector table,
 belongs to the model: a ``GcnModel`` builds each once, when first read,
 and keeps it. A forward cache holds only the arrays of its batch, plus
-the very ``GcnModel`` and ``cond.propagation`` array that made it; the
-backward pass rejects any other pairing with ValidationError.
+the very ``GcnModel`` and ``cond.propagation`` array that made it, and
+the backward pass takes both from the cache: ``gcn_backward(cache, grad)``.
 
 Model file format (version ``coocrefine-gcn v1``), all tokens space
 separated, floats written with shortest round-trip repr:
@@ -477,12 +477,7 @@ def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
     return d_weights, lambda: g
 
 
-def gcn_backward(
-    model: GcnModel,
-    cond: CondProbMatrix,
-    cache: GcnCache | SectorCache,
-    grad_refined: np.ndarray,
-) -> GcnGradients:
+def gcn_backward(cache: GcnCache | SectorCache, grad_refined: np.ndarray) -> GcnGradients:
     """Exact reverse-mode gradients of the refined output.
 
     ``grad_refined`` is the upstream gradient w.r.t. the refined logits;
@@ -491,14 +486,13 @@ def gcn_backward(
     Gradients over a batch are accumulated in fixed order, so results are
     reproducible.
 
-    ``cache`` must come from ``gcn_forward`` on this very ``model`` and
-    ``cond``, with ``grad_refined`` of its shape; else ValidationError.
+    The model and ``P`` are the ones ``cache`` holds from ``gcn_forward``;
+    ``grad_refined`` must have its batch's shape, else ValidationError.
     """
     grad_refined = np.asarray(grad_refined, dtype=np.float64)
-    if not (isinstance(cache, (GcnCache, SectorCache)) and cache.model is model
-            and cache.prop is cond.propagation):
-        raise ValidationError("cache was computed by another model or prior "
-                              "(layer count, widths, weights or classes differ)")
+    if not isinstance(cache, (GcnCache, SectorCache)):
+        raise ValidationError("cache must be the one gcn_forward returns")
+    model = cache.model
     a = cache.first_input
     if grad_refined.shape != a.shape[::-1]:
         raise ValidationError(

@@ -220,6 +220,8 @@ def delta_ap_analysis(
         raise ValidationError("AP vectors must align with the probability matrix classes")
     if not bin_size > 0:
         raise ValidationError("bin_size must be positive")
+    if not 2.0**-53 < bin_size < np.inf:    # so every bin index, at most 1 / bin_size, is exact
+        raise ValidationError("bin_size must be finite and greater than 2**-53")
     excluded = [int(i) for i in exclude]
     for i in excluded:
         if not 0 <= i < n:

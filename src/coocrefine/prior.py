@@ -98,14 +98,9 @@ class CondProbMatrix:
 
 @dataclass(frozen=True)
 class ReweightVector:
-    """Per-class multiplicative loss weights.
-
-    ``frequency`` mode weights a class by the inverse of its share of the
-    total class-frequency mass, and ``none`` assigns 1 everywhere.
-    """
+    """Per-class multiplicative loss weights, as ``reweighting`` builds them."""
 
     alphas: np.ndarray              # (N,) positive finite float64
-    mode: str
 
     def __post_init__(self):
         alphas = frozen_array(self.alphas, np.float64)
@@ -113,10 +108,6 @@ class ReweightVector:
             raise ValidationError("alphas must be a vector")
         if not np.isfinite(alphas).all() or (alphas <= 0).any():
             raise ValidationError("alphas must be positive and finite")
-        if self.mode not in REWEIGHT_MODES:
-            raise ValidationError(f"unknown reweight mode '{self.mode}'")
-        if self.mode == "none" and not np.all(alphas == alphas[0]):
-            raise ValidationError("none mode requires equal alphas")
         object.__setattr__(self, "alphas", alphas)
 
     @property
@@ -155,15 +146,18 @@ def reweighting(cooc: CoocMatrix, mode: str = "frequency") -> ReweightVector:
     frequency: alpha_j = (sum_k c_kk) / max(c_jj, 1), i.e. the inverse of
     class j's relative frequency share; rarer classes get larger weights.
     Zero counts are clamped to 1, and an all-zero diagonal degrades to
-    uniform weights of 1. none: alpha_j = 1. ReweightVector rejects any other mode.
+    uniform weights of 1. none: alpha_j = 1. Any other mode raises
+    ValidationError.
     """
+    if mode not in REWEIGHT_MODES:
+        raise ValidationError(f"unknown reweight mode '{mode}'")
     if mode == "frequency":
         diag = cooc.counts.diagonal().astype(np.float64)
         total = max(float(diag.sum()), 1.0)
         alphas = total / np.maximum(diag, 1.0)
     else:
         alphas = np.ones(cooc.n_classes)
-    return ReweightVector(alphas, mode)
+    return ReweightVector(alphas)
 
 
 def _check_k(k: int, n_classes: int, name: str = "k") -> None:

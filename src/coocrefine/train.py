@@ -145,7 +145,7 @@ def _unit_mean(weights: ReweightVector) -> ReweightVector:
     relative per-class weighting survives; uniform modes come out as
     exactly 1.
     """
-    return ReweightVector(weights.alphas / weights.alphas.mean(), weights.mode)
+    return ReweightVector(weights.alphas / weights.alphas.mean())
 
 
 def _validation_map(model, cond, val_labels, val_logits) -> float:
@@ -204,7 +204,7 @@ def train(
             refined, cache = gcn_forward(model, cond, x[idx])
             batch_loss, _ = rasl_loss(refined, y[idx], params)
             grad_logits = rasl_grad(refined, y[idx], params)
-            grads = gcn_backward(model, cond, cache, grad_logits)
+            grads = gcn_backward(cache, grad_logits)
             model, velocity = sgd_step(model, grads, lr, config.momentum, velocity)
             epoch_loss += batch_loss
         val_map = None

@@ -71,7 +71,7 @@ def test_criterion_2_combined_gradient_matches_finite_differences():
         h0 = rng.normal(size=(batch, n)) * 2.0
         labels = rng.integers(0, 2, size=(batch, n))
         params = cr.RaslParams(
-            alphas=cr.ReweightVector(rng.uniform(0.5, 2.0, size=n), "frequency"),
+            alphas=cr.ReweightVector(rng.uniform(0.5, 2.0, size=n)),
         )
 
         refined, cache = cr.gcn_forward(model, cond, h0)
@@ -89,7 +89,7 @@ def test_criterion_2_combined_gradient_matches_finite_differences():
             continue
 
         grad_logits = cr.rasl_grad(refined, labels, params)
-        grads = cr.gcn_backward(model, cond, cache, grad_logits)
+        grads = cr.gcn_backward(cache, grad_logits)
 
         weights = [w.copy() for w in model.weights]
 
@@ -121,7 +121,7 @@ def test_criterion_3_loss_reductions():
     """Degenerate RASL equals BCE; zero-weight head is the exact identity."""
     rng = np.random.default_rng(7)
     params = cr.RaslParams(
-        alphas=cr.ReweightVector(np.ones(5), "none"),
+        alphas=cr.ReweightVector(np.ones(5)),
         gamma_pos=0.0,
         gamma_neg=0.0,
         delta=0.0,

@@ -28,8 +28,10 @@ from coocrefine import (
     init_model,
     per_class_average_precision,
     rasl_loss,
+    reweighting,
     sgd_step,
     split,
+    synth_generate,
     train,
     write_logits,
 )
@@ -68,6 +70,10 @@ CHECKS = {
     "spec-strength-nan": (lambda: spec(signal_strength=np.nan), "signal_strength must be finite"),
     "spec-noise-inf": (lambda: spec(noise_std=np.inf), "noise_std must be positive and finite"),
     "spec-seed": (lambda: spec(seed=-1), "seed must be a non-negative integer"),
+    "spec-cluster-repeat": (lambda: spec(clusters=((0, 0),)),
+                            "class 0 appears more than once in one cluster"),
+    "synth-overflow": (lambda: synth_generate(spec(n_samples=1000, noise_std=1e308)),
+                       "logits overflow float64: lower noise_std or signal_strength"),
     "write-logits-shape": (lambda: write_logits(LogitMatrix(np.zeros((2, 3))), labels(), os.devnull),
                            "logits shape does not match labels"),
     "split-shape": (lambda: split(labels(), LogitMatrix(np.zeros((2, 3))), 0.5, 0),
@@ -82,7 +88,7 @@ CHECKS = {
                    "h0 must be a 2-d (batch, classes) matrix"),
     # loss.py
     "loss-shape": (lambda: rasl_loss(np.zeros((1, 2)), np.zeros((2, 2)),
-                                     RaslParams(ReweightVector(np.ones(2), "none"))),
+                                     RaslParams(ReweightVector(np.ones(2)))),
                    "logits and labels must be matching 2-d matrices"),
     # metrics.py
     "ap-length": (lambda: average_precision(np.zeros(2), np.ones(3)),
@@ -108,8 +114,9 @@ CHECKS = {
                    "conditional probabilities must lie in [0, 1]"),
     "cond-diagonal-near-one": (lambda: CondProbMatrix(np.array([[1 - 1e-9, 0.0], [0.0, 1.0]])),
                                "diagonal conditional probabilities must be 1"),
-    "alphas-2d": (lambda: ReweightVector(np.ones((2, 2)), "none"), "alphas must be a vector"),
-    "alphas-mode": (lambda: ReweightVector(np.ones(2), "bogus"), "unknown reweight mode 'bogus'"),
+    "alphas-2d": (lambda: ReweightVector(np.ones((2, 2))), "alphas must be a vector"),
+    "alphas-mode": (lambda: reweighting(CoocMatrix(np.eye(2, dtype=int)), "bogus"),
+                    "unknown reweight mode 'bogus'"),
     # seeding.py
     "rng-seed": (lambda: rng_for(-1, 1), "seed must be a non-negative integer"),
     # train.py

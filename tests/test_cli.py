@@ -465,13 +465,18 @@ class TestConfigPrecedence:
         ("epochs", 1.9),
         ("epochs", True),
         ("seed", 0.5),
+        ("epochs", None),
+        ("lr0", None),
+        ("gcn_dims", None),
+        ("out_dir", None),
     ])
     def test_config_value_of_wrong_kind_rejected(self, fixtures, capsys, key, value):
         tmp_path, labels, logits = fixtures
         config = tmp_path / "config.json"
-        config.write_text(json.dumps({"epochs": 1, "gcn_dims": "1,4,1", key: value}))
+        config.write_text(json.dumps({"epochs": 1, "gcn_dims": "1,4,1",
+                                      "out_dir": str(tmp_path / "out"), key: value}))
         rc = main(["train", "--labels", str(labels), "--logits", str(logits),
-                   "--config", str(config), "--out-dir", str(tmp_path / "out")])
+                   "--config", str(config)])
         assert rc == 1
         assert f"--{key.replace('_', '-')}" in capsys.readouterr().err
 
@@ -695,8 +700,12 @@ class TestDocumentedExits:
         ["synth", "--noise-std", "inf"],
         ["synth", "--signal-strength", "nan"],
         ["train", "--labels", "{labels}", "--logits", "{logits}", "--seed", "-1"],
+        # a RuntimeWarning raises under this suite's filterwarnings, so none may be emitted
+        ["synth", "--noise-std", "1e308"],
+        ["synth", "--noise-std", "1e308", "--signal-strength", "1e308"],
     ], ids=["synth-one-class", "prior-missing-labels", "eval-missing-logits", "synth-seed",
-            "synth-noise-inf", "synth-strength-nan", "train-seed"])
+            "synth-noise-inf", "synth-strength-nan", "train-seed", "synth-noise-overflow",
+            "synth-signal-overflow"])
     def test_exit_1_creates_no_out_dir(self, fixtures, capsys, argv):
         tmp_path, labels, logits = fixtures
         out = tmp_path / "out"
@@ -713,13 +722,16 @@ class TestDocumentedExits:
           "--after", "{logits}", "--k", "0"], "--k must be in [1, 2], got 0"),
         (["analyze", "--labels", "{labels}", "--cond-prob", "{cond}", "--model", "{model}",
           "--logits", "{logits}", "--k", "2", "--bin-size", "0"], "bin_size must be positive"),
+        *((["analyze", "--labels", "{labels}", "--cond-prob", "{cond}", "--model", "{model}",
+            "--logits", "{logits}", "--k", "2", "--bin-size", size],
+           "bin_size must be finite and greater than 2**-53") for size in ("inf", "1e-320")),
         (["train", "--labels", "{labels}", "--logits", "{logits}", "--val-labels", "{renamed}",
           "--val-logits", "{renamed_logits}", "--epochs", "1", "--gcn-dims", "1,4,1"],
          "validation class names differ from training"),
         (["eval", "--labels", "{labels}", "--logits", "{logits}", "--topk", "9"],
          "top_k must be in [1, 3], got 9"),
-    ], ids=["eval-condprob-k", "analyze-k", "analyze-bin-size", "train-val-class-names",
-            "eval-topk"])
+    ], ids=["eval-condprob-k", "analyze-k", "analyze-bin-size", "analyze-bin-size-inf",
+            "analyze-bin-size-tiny", "train-val-class-names", "eval-topk"])
     def test_checks_on_read_inputs_create_no_out_dir(self, fixtures, capsys, argv, message):
         tmp_path, labels, logits = fixtures
         (tmp_path / "A.csv").write_text(A_CSV)

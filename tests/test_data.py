@@ -316,7 +316,7 @@ def spec_with(**overrides):
 LABEL_CHECKS = {
     "LabelMatrix": lambda y: LabelMatrix(y, ("a", "b"), ("c0", "c1")),
     "rasl_loss": lambda y: rasl_loss(
-        np.zeros(y.shape), y, RaslParams(ReweightVector(np.ones(2), "none"))),
+        np.zeros(y.shape), y, RaslParams(ReweightVector(np.ones(2)))),
     "average_precision": lambda y: average_precision(np.arange(y.size, dtype=float), y),
     "per_class_average_precision": lambda y: per_class_average_precision(np.zeros(y.shape), y),
 }

@@ -17,7 +17,7 @@ from oracles import central_difference, masked_sigmoid
 def ones_params(n, **overrides):
     fields = dict(gamma_pos=1.0, gamma_neg=3.0, delta=0.05, eps=1e-8)
     fields.update(overrides)
-    return RaslParams(alphas=ReweightVector(np.ones(n), "none"), **fields)
+    return RaslParams(alphas=ReweightVector(np.ones(n)), **fields)
 
 
 def random_case(rng, batch=4, n=3, scale=3.0):
@@ -46,7 +46,7 @@ class TestSigmoid:
 
 class TestRaslLoss:
     def test_hand_computed_positive_element(self):
-        params = RaslParams(alphas=ReweightVector(np.array([2.0, 2.0]), "frequency"))
+        params = RaslParams(alphas=ReweightVector(np.array([2.0, 2.0])))
         _, per_element = rasl_loss(np.zeros((1, 2)), np.array([[1, 0]]), params)
         assert per_element[0, 0] == pytest.approx(-2.0 * 0.5 * np.log(0.5), abs=1e-12)
 
@@ -93,7 +93,7 @@ class TestRaslLoss:
         rng = np.random.default_rng(2)
         logits, labels = random_case(rng)
         base = ones_params(3)
-        scaled = RaslParams(alphas=ReweightVector(np.full(3, 7.0), "none"))
+        scaled = RaslParams(alphas=ReweightVector(np.full(3, 7.0)))
         assert rasl_loss(logits, labels, scaled)[0] == pytest.approx(
             7.0 * rasl_loss(logits, labels, base)[0], rel=1e-15
         )
@@ -107,15 +107,15 @@ class TestRaslLoss:
         with pytest.raises(ValidationError):
             rasl_loss(np.zeros((1, 3)), np.zeros((1, 3), dtype=int), params)
         with pytest.raises(ValidationError):
-            RaslParams(alphas=ReweightVector(np.ones(2), "none"), delta=1.0)
+            RaslParams(alphas=ReweightVector(np.ones(2)), delta=1.0)
         with pytest.raises(ValidationError):
-            RaslParams(alphas=ReweightVector(np.ones(2), "none"), eps=1e-3)
+            RaslParams(alphas=ReweightVector(np.ones(2)), eps=1e-3)
 
     @pytest.mark.parametrize("name", ["gamma_pos", "gamma_neg"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -1.0])
     def test_focusing_exponents_must_be_finite_and_non_negative(self, name, value):
         with pytest.raises(ValidationError, match=f"{name} must be finite"):
-            RaslParams(alphas=ReweightVector(np.ones(2), "none"), **{name: value})
+            RaslParams(alphas=ReweightVector(np.ones(2)), **{name: value})
 
 
 class TestRaslGrad:
@@ -163,7 +163,7 @@ class TestRaslGrad:
     def test_saturated_positive_keeps_recovery_gradient(self):
         # gradient of the pure formula tends to -alpha, not 0, when a
         # positive saturates at s ~ 0
-        alphas = ReweightVector(np.array([1.5, 3.0]), "frequency")
+        alphas = ReweightVector(np.array([1.5, 3.0]))
         params = RaslParams(alphas=alphas)
         grad = rasl_grad(np.full((1, 2), -40.0), np.array([[1, 1]]), params)
         assert np.allclose(grad, [[-1.5, -3.0]], atol=1e-12)

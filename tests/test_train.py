@@ -164,7 +164,6 @@ class TestTrain:
         labels, logits = tiny_dataset(seed=6)
         config = TrainConfig(epochs=1, batch_size=8, seed=0, gcn_dims=(1, 4, 1))
         _, weights, _, _ = train(labels, logits, config)
-        assert weights.mode == "frequency"
         assert weights.alphas.mean() == pytest.approx(1.0, abs=1e-12)
 
     def test_validation_map_recorded(self):

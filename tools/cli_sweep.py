@@ -84,6 +84,11 @@ CASES = (
     ("exit-1-synth-seed", ("synth", "--seed", "-1", "--out-dir", "bad_synth_seed")),
     ("exit-1-synth-noise-inf", ("synth", "--noise-std", "inf", "--out-dir", "bad_noise")),
     ("exit-1-train-seed", (*TRAIN, "--seed", "-1", "--out-dir", "bad_train_seed")),
+    ("exit-1-bin-size-inf", (*ANALYZE, "--model", "train_val/model.txt",
+                             "--logits", "data/logits.csv", "--bin-size", "inf",
+                             "--out-dir", "bad_bin_size")),
+    ("exit-1-synth-noise-overflow", ("synth", "--noise-std", "1e308",
+                                     "--out-dir", "bad_noise_overflow")),
     ("help", ("--help",)),
     *((f"help-{sub}", (sub, "--help")) for sub in ("synth", "prior", "train", "eval", "analyze")),
 )
