@@ -53,8 +53,8 @@ from .data import (
     finite_cells,
     load_labels,
     load_logits,
+    read_lines,
     read_table,
-    read_text,
     synth_generate,
     write_labels,
     write_logits,
@@ -203,7 +203,7 @@ def _flag(name: str) -> str:
 def _load_config_file(path) -> tuple[dict, dict]:
     """The config's values, and the inputs a manifest records (none for a plain config)."""
     try:
-        raw = json.loads(read_text(path))
+        raw = json.loads("".join(read_lines(path)))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -216,41 +216,45 @@ def _load_config_file(path) -> tuple[dict, dict]:
             raise ValidationError(f"{path}: manifest config must be a JSON object")
         if not (isinstance(inputs, dict) and all(isinstance(e, dict) for e in inputs.values())):
             raise ValidationError(f"{path}: manifest inputs must map each input to its path and sha256")
-    raw.pop("threads", None)       # older manifests record a since-removed no-op flag
+        raw.pop("threads", None)       # older manifests record a since-removed no-op flag
     return raw, inputs
+
+
+def _convert(name: str, opt: Opt, value):
+    """Option ``name``'s value from a flag or a config file, checked and converted."""
+    if opt.choices and value not in opt.choices:
+        raise ValidationError(f"invalid {_flag(name)} '{value}' (one of {opt.choices})")
+    if _wrong_kind(value, opt.type) or (value is None and opt.default is not None):
+        raise ValidationError(f"invalid {_flag(name)} '{value}'")
+    try:
+        return None if value is None else opt.type(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"invalid {_flag(name)} '{value}'") from None
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace, dict]:
     """Merge flag > config file > default, per documented precedence.
 
-    A flag's text and a config file's value pass the same checks and
-    conversion. Returns the values the manifest records (a number given as
-    a flag as that number, anything else as given), the same values
-    converted by their options' types, and the input records of a manifest
-    for each input path taken from it.
+    Every flag's text and config file's value passes the same checks and
+    conversion, overridden or not. Returns the values the manifest records
+    (a number given as a flag as that number, anything else as given), the
+    same values converted by their options' types, and the input records of
+    a manifest for each input path taken from it.
     """
     options = _options(args.subcommand)
     file_cfg, file_inputs = _load_config_file(args.config) if args.config else ({}, {})
     unknown = set(file_cfg) - set(options)
     if unknown:
         raise ValidationError(f"unknown config keys: {', '.join(sorted(unknown))}")
-    resolved, typed, recorded = {}, {}, {}
+    flags = {name: getattr(args, name) for name in options if getattr(args, name) is not None}
+    resolved, typed = {}, {}
     for name, opt in options.items():
-        value = getattr(args, name)
-        flagged = value is not None
-        if not flagged:
-            value = file_cfg.get(name, opt.default)
-            if name in file_cfg and name in file_inputs:
-                recorded[name] = file_inputs[name]
-        if opt.choices and value not in opt.choices:
-            raise ValidationError(f"invalid {_flag(name)} '{value}' (one of {opt.choices})")
-        if _wrong_kind(value, opt.type) or (value is None and opt.default is not None):
-            raise ValidationError(f"invalid {_flag(name)} '{value}'")
-        try:
-            typed[name] = None if value is None else opt.type(value)
-        except (TypeError, ValueError):
-            raise ValidationError(f"invalid {_flag(name)} '{value}'") from None
-        resolved[name] = typed[name] if flagged and opt.type in (int, float) else value
+        for source in ({name: opt.default}, file_cfg, flags):      # a later source wins
+            if name in source:
+                typed[name] = _convert(name, opt, source[name])
+                numeric = source is flags and opt.type in (int, float)
+                resolved[name] = typed[name] if numeric else source[name]
+    recorded = {n: e for n, e in file_inputs.items() if n in file_cfg and n not in flags}
     return resolved, SimpleNamespace(**typed), recorded
 
 

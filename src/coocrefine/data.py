@@ -161,15 +161,23 @@ class SyntheticSpec:
         _check_seed(self.seed)
 
 
-def read_lines(path, newline=""):
-    """The lines of a UTF-8 input file, with their ends, read one at a time.
+def _check_labels(values, labels, what: str):
+    """``values`` as float64 and ``labels`` as given, if they match and every label is 0 or 1."""
+    values = np.asarray(values, dtype=np.float64)
+    labels = np.asarray(labels)
+    if values.ndim != 2 or labels.shape != values.shape:
+        raise ValidationError(f"{what} and labels must be matching 2-d matrices")
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValidationError("labels must be 0 or 1")
+    return values, labels
 
-    ``newline`` is ``open``'s: "" keeps each line end (LF, CRLF or CR) as it
-    is, so a CRLF is never cut; None turns each into LF.
-    """
+
+def read_lines(path):
+    """The lines of a UTF-8 input file, each with its end (LF, CRLF or CR) as
+    it is, read one at a time; so a CRLF is never cut."""
     path = Path(path)
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open(path, encoding="utf-8", newline="") as fh:
             yield from fh
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}") from None
@@ -181,11 +189,6 @@ def read_lines(path, newline=""):
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-
-
-def read_text(path) -> str:
-    """The whole text of a small UTF-8 input file (a model or a config), LF line ends."""
-    return "".join(read_lines(path, None))
 
 
 def binary_cells(texts: list[str]) -> np.ndarray:

@@ -50,9 +50,7 @@ Deeper or shallower heads run a layer loop on the same factors: layers
 ``d_out < d_in`` and ``(P H) W`` otherwise.
 
 Both forms agree with the literal dense evaluation to within 1e-13
-relative, not bit for bit, so model files and refined logits differ in
-their last digits from those of versions that evaluated the formula
-literally or layer by layer.
+relative, not bit for bit.
 
 Gradients are computed analytically in reverse mode; the LeakyReLU
 subgradient at exactly 0 uses the positive-branch slope 1, so where a == 0
@@ -89,7 +87,7 @@ from pathlib import Path
 import numpy as np
 
 from ._arrays import frozen_array
-from .data import read_text
+from .data import read_lines
 from .errors import NumericError, ValidationError
 from .prior import CondProbMatrix
 from .seeding import STREAM_INIT, rng_for
@@ -121,7 +119,8 @@ class GcnModel:
     """Stack of per-layer weight matrices plus architecture metadata.
 
     ``layer_dims`` lists per-node feature widths (see ``_widths``). A model
-    equals only itself and hashes by identity, as a forward cache binds it.
+    equals only itself and hashes by identity: a generated ``__eq__`` would
+    compare its weight arrays.
     """
 
     layer_dims: tuple[int, ...]
@@ -425,7 +424,8 @@ def gcn_forward(
 
 
 def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
-    """Weight gradients and a function for ``[dL/da+, dL/da-]``, ``(N, batch, 2)``."""
+    """``dL/d[u+; u-]``, the gradients of layers >= 2 and a function for
+    ``[dL/da+, dL/da-]``, ``(N, batch, 2)``."""
     model, sectors = cache.model, cache.model.sectors
     n, batch = cache.first_input.shape
     if model.final_nonlinearity:
@@ -438,20 +438,18 @@ def _sector_backward(cache: SectorCache, prop_t: np.ndarray, grad: np.ndarray):
     # dL/dA and dL/dB are W_3 times the slope-weighted sums per unit
     r = sums @ sectors.slopes
     d_ab = r * model.weights[2][:, 0]
-    rows, slopes = model.first_layer
-    d_w1 = (slopes * (d_ab @ model.weights[1].T)).sum(axis=0, keepdims=True)
     d_w3 = (sectors.factors * r).sum(axis=0)[:, None]
-    return [d_w1, rows.T @ d_ab, d_w3], lambda: (prop_t @ (
+    return d_ab @ model.weights[1].T, [model.first_layer[0].T @ d_ab, d_w3], lambda: (prop_t @ (
         back[:, :, None] * sectors.coeffs[cache.sector_ids]).reshape(n, -1)).reshape(n, batch, 2)
 
 
 def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
-    """Weight gradients and a function for ``[dL/da+, dL/da-]``, ``(N, batch, 2)``."""
+    """What ``_sector_backward`` returns, for a head of any depth, layer by layer."""
     model = cache.model
     n_layers = model.n_layers
-    rows, slopes = model.first_layer
+    rows = model.first_layer[0]
     g = grad[:, :, None]
-    d_weights: list[np.ndarray | None] = [None] * n_layers
+    d_later: list[np.ndarray | None] = [None] * (n_layers - 1)
     for l in range(n_layers - 1, 0, -1):
         w = model.weights[l]
         if _activated(model, l):
@@ -466,15 +464,14 @@ def _layer_backward(cache: GcnCache, prop_t: np.ndarray, grad: np.ndarray):
             d_v = _flat(m).T @ _flat(g)
             g = _propagate(prop_t, _mix(g, v.T))
         if l > 1:
-            d_weights[l] = d_v
+            d_later[l - 1] = d_v
         else:
-            d_weights[1] = rows.T @ d_v
+            d_later[0] = rows.T @ d_v
             d_u = d_v @ w.T
     if n_layers == 1:           # the output is H_1 = F @ [u+; u-] itself
         d_u = _flat(_split(cache.first_input)).T @ _flat(g)
         g = _mix(g, rows.T)
-    d_weights[0] = (slopes * d_u).sum(axis=0, keepdims=True)
-    return d_weights, lambda: g
+    return d_u, d_later, lambda: g
 
 
 def gcn_backward(cache: GcnCache | SectorCache, grad_refined: np.ndarray) -> GcnGradients:
@@ -502,7 +499,8 @@ def gcn_backward(cache: GcnCache | SectorCache, grad_refined: np.ndarray) -> Gcn
     prop_t = cache.prop.T
     backward = _sector_backward if isinstance(cache, SectorCache) else _layer_backward
     with np.errstate(over="ignore", invalid="ignore"):
-        d_weights, input_grad = backward(cache, prop_t, grad_refined.T)
+        d_u, d_later, input_grad = backward(cache, prop_t, grad_refined.T)
+        d_w1 = (model.first_layer[1] * d_u).sum(axis=0, keepdims=True)
 
     def d_input():
         # dL/da reads the a+ column where a > 0, the a- one where a < 0, and
@@ -512,7 +510,7 @@ def gcn_backward(cache: GcnCache | SectorCache, grad_refined: np.ndarray) -> Gcn
             at_zero = (g[:, :, 0] + g[:, :, 1]) / (1.0 + _first_slope(model))
             g_a = np.where(a > 0, g[:, :, 0], np.where(a < 0, g[:, :, 1], at_zero))
             return (prop_t @ g_a).T + grad_refined
-    return GcnGradients(tuple(d_weights), d_input)
+    return GcnGradients((d_w1, *d_later), d_input)
 
 
 def save_model(model: GcnModel, path) -> None:
@@ -535,7 +533,7 @@ def load_model(path) -> GcnModel:
 
     A malformed file raises ValidationError naming it and the first bad line.
     """
-    lines = read_text(path).splitlines()
+    lines = "".join(read_lines(path)).splitlines()
     lineno = 1
 
     def tokens(keyword: str | None = None, count: int | None = None) -> list[str]:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _check_labels
 from .errors import NumericError, ValidationError
 from .prior import ReweightVector
 
@@ -62,14 +63,9 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def _check_inputs(logits: np.ndarray, labels: np.ndarray, params: RaslParams):
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != logits.shape:
-        raise ValidationError("logits and labels must be matching 2-d matrices")
+    logits, labels = _check_labels(logits, labels, "logits")
     if not np.isfinite(logits).all():
         raise NumericError("non-finite logit")
-    if not ((labels == 0) | (labels == 1)).all():
-        raise ValidationError("labels must be 0 or 1")
     if params.alphas.n_classes != logits.shape[1]:
         raise ValidationError(
             f"alphas cover {params.alphas.n_classes} classes but logits have "

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import LabelMatrix
+from .data import LabelMatrix, _check_labels
 from .errors import ValidationError
 from .loss import sigmoid
 from .prior import CondProbMatrix, _top_k_means
@@ -97,12 +97,7 @@ def per_class_average_precision(
     Every AP in this package, both sides of every comparison included, goes
     through this single code path.
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    label_values = np.asarray(label_values)
-    if scores.shape != label_values.shape or scores.ndim != 2:
-        raise ValidationError("scores and labels must be matching 2-d matrices")
-    if not ((label_values == 0) | (label_values == 1)).all():
-        raise ValidationError("labels must be 0 or 1")
+    scores, label_values = _check_labels(scores, label_values, "scores")
     ap = np.zeros(scores.shape[1])
     excluded = []
     for j in range(scores.shape[1]):
@@ -135,12 +130,9 @@ def evaluate(
     highest-scoring classes per sample (ties broken by ascending class
     index). mAP ignores the decision rule and ranks raw scores.
     """
+    ap, excluded = per_class_average_precision(scores, labels.values)
     scores = np.asarray(scores, dtype=np.float64)
     y = labels.values.astype(bool)
-    if scores.shape != y.shape:
-        raise ValidationError(
-            f"scores shape {scores.shape} does not match labels shape {y.shape}"
-        )
     if top_k is not None:
         if not 1 <= top_k <= labels.n_classes:
             raise ValidationError(f"top_k must be in [1, {labels.n_classes}], got {top_k}")
@@ -166,8 +158,6 @@ def evaluate(
 
     def harmonic(p: float, r: float) -> float:
         return 2.0 * p * r / (p + r) if p + r > 0 else 0.0
-
-    ap, excluded = per_class_average_precision(scores, labels.values)
 
     return MetricsReport(
         per_class_ap=ap,

@@ -49,7 +49,7 @@ class CoocMatrix:
 @dataclass(frozen=True, eq=False)
 class CondProbMatrix:
     """Estimated P(column class present | row class present), compared and
-    hashed by identity, as a forward cache binds it.
+    hashed by identity: a generated ``__eq__`` would compare its arrays.
 
     Rows of classes never seen in training cannot be normalized; they are
     set to the identity row (probability 1 on the class itself, 0

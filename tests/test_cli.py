@@ -425,6 +425,51 @@ class TestConfigPrecedence:
         assert rc == 1
         assert "sample_count" in capsys.readouterr().err
 
+    def test_threads_key_of_a_plain_config_rejected(self, fixtures, capsys):
+        tmp_path, labels, _ = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"threads": 4}))
+        out = tmp_path / "out"
+        rc = main(["prior", "--labels", str(labels), "--config", str(config), "--out-dir", str(out)])
+        assert rc == 1
+        assert "unknown config keys: threads" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, flag_value", [
+        ("epochs", True, "1"),
+        ("epochs", None, "1"),
+        ("gcn_dims", [1, 4.5, 1], "1,4,1"),
+        ("reweight_mode", "literal", "none"),
+    ])
+    def test_config_value_a_flag_overrides_is_still_checked(
+        self, fixtures, capsys, key, value, flag_value
+    ):
+        tmp_path, labels, logits = fixtures
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({key: value}))
+        flag = f"--{key.replace('_', '-')}"
+        out = tmp_path / "out"
+        rc = main(["train", "--labels", str(labels), "--logits", str(logits), "--epochs", "1",
+                   "--config", str(config), flag, flag_value, "--out-dir", str(out)])
+        assert rc == 1
+        assert f"invalid {flag} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_config_line_ends_resolve_alike(self, tmp_path, end):
+        text = json.dumps({"n_samples": 12, "n_classes": 5, "clusters": [[0, 1]]}, indent=2)
+        runs = []
+        for name, ends in (("lf", "\n"), ("other", end)):
+            config = tmp_path / f"{name}.json"
+            config.write_bytes(text.replace("\n", ends).encode())
+            out = tmp_path / name
+            assert main(["synth", "--config", str(config), "--out-dir", str(out)]) == 0
+            resolved = json.loads((out / "synth_manifest.json").read_text())["config"]
+            del resolved["out_dir"]
+            runs.append((resolved, (out / "labels.csv").read_bytes()))
+        assert runs[0][0]["n_samples"] == 12 and runs[0][0]["clusters"] == [[0, 1]]
+        assert runs[0] == runs[1]
+
     def test_rerun_from_manifest_reproduces_outputs(self, tmp_path):
         out = tmp_path / "out"
         assert main([

@@ -420,6 +420,34 @@ class TestSerialization:
         assert loaded.final_nonlinearity == model.final_nonlinearity
         assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, model.weights))
 
+    @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_line_ends_load_alike(self, tmp_path, end):
+        model = init_model((1, 5, 3, 1), seed=13, leaky_slope=0.2, final_nonlinearity=True)
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        other = tmp_path / "other.txt"
+        other.write_bytes(path.read_bytes().replace(b"\n", end.encode()))
+        lf, loaded = load_model(path), load_model(other)
+        assert (loaded.layer_dims, loaded.leaky_slope, loaded.final_nonlinearity) == (
+            lf.layer_dims, lf.leaky_slope, lf.final_nonlinearity)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, lf.weights))
+
+    @pytest.mark.parametrize("lineno, text", [
+        (3, "leaky_slope"), (5, "weights 0 1 5"), (6, "0.5 x 0.5 0.5"), (12, "0.5"),
+    ])
+    def test_malformed_crlf_model_names_the_line_of_its_lf_copy(self, tmp_path, lineno, text):
+        path = tmp_path / "model.txt"
+        save_model(init_model((1, 4, 1), seed=3), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1:lineno] = [text]
+        messages = []
+        for end in ("\n", "\r\n"):
+            path.write_bytes((end.join(lines) + end).encode())
+            with pytest.raises(ValidationError, match=f"line {lineno}: ") as info:
+                load_model(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_save_is_deterministic(self, tmp_path):
         model = init_model((1, 4, 1), seed=3)
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"
