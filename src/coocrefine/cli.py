@@ -249,11 +249,12 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, SimpleNamespace, dict]:
     flags = {name: getattr(args, name) for name in options if getattr(args, name) is not None}
     resolved, typed = {}, {}
     for name, opt in options.items():
-        for source in ({name: opt.default}, file_cfg, flags):      # a later source wins
-            if name in source:
-                typed[name] = _convert(name, opt, source[name])
-                numeric = source is flags and opt.type in (int, float)
-                resolved[name] = typed[name] if numeric else source[name]
+        if name in file_cfg and name in flags:
+            _convert(name, opt, file_cfg[name])         # checked, though the flag wins
+        source = flags if name in flags else file_cfg if name in file_cfg else {name: opt.default}
+        typed[name] = _convert(name, opt, source[name])
+        numeric = source is flags and opt.type in (int, float)
+        resolved[name] = typed[name] if numeric else source[name]
     recorded = {n: e for n, e in file_inputs.items() if n in file_cfg and n not in flags}
     return resolved, SimpleNamespace(**typed), recorded
 

@@ -130,19 +130,19 @@ def evaluate(
     highest-scoring classes per sample (ties broken by ascending class
     index). mAP ignores the decision rule and ranks raw scores.
     """
-    ap, excluded = per_class_average_precision(scores, labels.values)
+    if top_k is not None and not 1 <= top_k <= labels.n_classes:
+        raise ValidationError(f"top_k must be in [1, {labels.n_classes}], got {top_k}")
+    if top_k is None and (threshold is None or not 0.0 < threshold < 1.0):
+        raise ValidationError("threshold must be in (0, 1)")
     scores = np.asarray(scores, dtype=np.float64)
+    ap, excluded = per_class_average_precision(scores, labels.values)    # checks the shapes
     y = labels.values.astype(bool)
     if top_k is not None:
-        if not 1 <= top_k <= labels.n_classes:
-            raise ValidationError(f"top_k must be in [1, {labels.n_classes}], got {top_k}")
         order = np.argsort(-scores, axis=1, kind="stable")
         preds = np.zeros_like(y)
         np.put_along_axis(preds, order[:, :top_k], True, axis=1)
         threshold = None
     else:
-        if threshold is None or not 0.0 < threshold < 1.0:
-            raise ValidationError("threshold must be in (0, 1)")
         preds = sigmoid(scores) >= threshold
 
     tp = (preds & y).sum(axis=0).astype(np.float64)

@@ -1,6 +1,6 @@
 """Interleaved A/B timing of one training step, between two source trees.
 
-    python stepbench/ab.py <parent-tree> <change-tree> [--pairs 40] [--rounds 3]
+    python stepbench/ab.py <parent-tree> <change-tree>
 
 Both trees' ``src/coocrefine`` are loaded side by side in one process, each
 as its own package (``importlib.util.spec_from_file_location`` with
@@ -10,13 +10,16 @@ noise alone moves the ratio.
 
 A step is what ``train`` runs per batch: ``gcn_forward``, ``rasl_loss``,
 ``rasl_grad``, ``gcn_backward`` and ``sgd_step``, with the default 1-64-64-1
-head, a batch of 32 rows and one BLAS thread, on seeded random data of
-N = 20, 80 and 300 classes. Each side trains its own model on the same
-batches in the same order, so both sides do the same work. A pair times
-``STEPS`` consecutive steps on each side, the side that runs first
-alternating from pair to pair. Per N it prints the median of the per-pair
-time ratios (change / parent), their interquartile range and "change faster
-in k/n" pairs; the last line of stdout is the same as JSON.
+head, a batch of 32 rows and one BLAS thread, at N = 20, 80 and 300
+classes. The data follow perfbench's recipe (``make_dataset``: clusters of
+four, a weak first member in each), drawn by the parent tree's
+``synth_generate``. Each side trains its own model on the same batches in
+the same order, so both sides do the same work. A pair times ``STEPS``
+consecutive steps on each side, the side that runs first alternating from
+pair to pair. For each of ``ROUNDS`` rounds and each N it prints the median
+of ``PAIRS`` per-pair time ratios (change / parent), their interquartile
+range and "change faster in k/n" pairs; the last line of stdout is the same
+as JSON.
 
 Only the whole step is timed, and the two sides' outputs are not compared.
 """
@@ -46,6 +49,8 @@ ROWS = 640          # 20 batches, cycled
 STEPS = 50          # steps per side per pair
 LR = 0.002          # TrainConfig's default lr0
 WARMUP_PAIRS = 2
+PAIRS = 40          # timed pairs per N and round
+ROUNDS = 3          # rounds over every N
 
 
 def load_tree(tree: Path, name: str):
@@ -92,20 +97,23 @@ class Side:
         return elapsed
 
 
-def data(n_classes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Labels, every class present at least once, and logits that separate them."""
-    rng = np.random.default_rng(seed)
-    labels = (rng.random((ROWS, n_classes)) < 0.3).astype(np.uint8)
-    labels[np.arange(n_classes) % ROWS, np.arange(n_classes)] = 1
-    logits = 2.0 * (2.0 * labels - 1.0) + rng.normal(size=labels.shape)
-    return labels, logits
+def data(cr, n_classes: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and logits of perfbench's synthetic recipe, ``ROWS`` rows."""
+    clusters = tuple(tuple(range(4 * i, 4 * i + 4)) for i in range(n_classes // 5))
+    weak = {cluster[0] for cluster in clusters}
+    labels, logits = cr.synth_generate(cr.SyntheticSpec(
+        n_classes=n_classes, n_samples=ROWS, clusters=clusters,
+        within_cluster_prob=0.9, base_prob=0.15,
+        signal_strength=tuple(0.3 if j in weak else 2.0 for j in range(n_classes)),
+        noise_std=1.0, seed=seed))
+    return labels.values, logits.values
 
 
-def compare(parent, change, n_classes: int, pairs: int, seed: int) -> dict:
-    labels, logits = data(n_classes, seed)
+def compare(parent, change, n_classes: int, seed: int) -> dict:
+    labels, logits = data(parent, n_classes, seed)
     sides = {"parent": Side(parent, labels, logits), "change": Side(change, labels, logits)}
     times = {"parent": [], "change": []}
-    for i in range(-WARMUP_PAIRS, pairs):
+    for i in range(-WARMUP_PAIRS, PAIRS):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         for side in order:
             elapsed = sides[side].run()
@@ -119,7 +127,7 @@ def compare(parent, change, n_classes: int, pairs: int, seed: int) -> dict:
         "change_step_ms_p50": round(float(np.median(change_s)) / STEPS * 1e3, 4),
         "ratio_p50": round(float(median), 4),
         "ratio_iqr": round(float(q3 - q1), 4),
-        "change_faster": f"{int((change_s < parent_s).sum())}/{pairs}",
+        "change_faster": f"{int((change_s < parent_s).sum())}/{PAIRS}",
     }
 
 
@@ -127,28 +135,24 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent", type=Path, help="source tree of the parent")
     parser.add_argument("change", type=Path, help="source tree of the change")
-    parser.add_argument("--pairs", type=int, default=40, help="timed pairs per N and round")
-    parser.add_argument("--rounds", type=int, default=3, help="rounds over every N")
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.rounds < 1:
-        parser.error("--pairs and --rounds must be at least 1")
     parent = load_tree(args.parent.resolve(), "coocrefine_parent")
     change = load_tree(args.change.resolve(), "coocrefine_change")
     rounds = []
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         result = {}
         for n in SIZES:
-            result[f"N={n}"] = row = compare(parent, change, n, args.pairs, seed=n + r)
+            result[f"N={n}"] = row = compare(parent, change, n, seed=n + r)
             print(f"round {r + 1} N={n}: ratio {row['ratio_p50']:.4f} "
                   f"(IQR {row['ratio_iqr']:.4f}), change faster in {row['change_faster']}",
                   flush=True)
         rounds.append(result)
     print(json.dumps({
-        "how": f"python stepbench/ab.py <parent> <change> --pairs {args.pairs} "
-               f"--rounds {args.rounds}",
+        "how": "python stepbench/ab.py <parent> <change>",
         "same_tree": args.parent.resolve() == args.change.resolve(),
         "step": "gcn_forward, rasl_loss, rasl_grad, gcn_backward, sgd_step",
         "head": list(HEAD), "batch": BATCH, "steps_per_pair": STEPS, "blas_threads": 1,
+        "pairs_per_round": PAIRS, "data": "perfbench make_dataset recipe",
         "python": platform.python_version(), "numpy": np.__version__,
         "rounds": rounds,
     }))

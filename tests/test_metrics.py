@@ -130,6 +130,15 @@ class TestEvaluate:
         with pytest.raises(ValidationError):
             evaluate(np.zeros((2, 2)), labels, top_k=3)
 
+    def test_decision_rule_checked_before_the_ap_pass(self):
+        labels = labels_from([[1, 0], [0, 1]])
+        with pytest.raises(ValidationError, match="top_k must be"):
+            evaluate(np.zeros((3, 2)), labels, top_k=3)
+        with pytest.raises(ValidationError, match="threshold must be"):
+            evaluate(np.zeros((3, 2)), labels, threshold=1.0)
+        with pytest.raises(ValidationError, match="scores and labels must be matching"):
+            evaluate(np.zeros((3, 2)), labels, top_k=1)
+
 
 class TestDeltaApAnalysis:
     def cond(self, probs):
