@@ -201,16 +201,20 @@ def _flag(name: str) -> str:
 # ---------------------------------------------------------------------------
 
 def _load_config_file(path) -> tuple[dict, dict]:
-    """The config's values, and the inputs a manifest records (none for a plain config)."""
+    """A config file's values and no inputs, or a manifest's config and the inputs it records."""
+    def unique(pairs: list) -> dict:    # a key appears once per object, at any depth
+        for key in (k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i])):
+            raise ValidationError(f"{path}: repeated key '{key}'")
+        return dict(pairs)
+
     try:
-        raw = json.loads("".join(read_lines(path)))
+        raw = json.loads("\n".join(read_lines(path)), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ValidationError(f"{path}: config must be a JSON object")
     inputs = {}
     if "subcommand" in raw and "config" in raw:
-        # a manifest doubles as a config file
         raw, inputs = raw["config"], raw.get("inputs", {})
         if not isinstance(raw, dict):
             raise ValidationError(f"{path}: manifest config must be a JSON object")
@@ -454,6 +458,8 @@ def cmd_eval(o):
                               f"{', '.join(own)}, not '{o.refined_out}'")
 
     labels = load_labels(o.labels)
+    if o.model is not None:
+        _check_k(o.condprob_k, labels.n_classes, "--condprob-k")
     logits = load_logits(o.logits, labels)
     kwargs = {"threshold": o.threshold, "top_k": o.topk}
 
@@ -471,7 +477,6 @@ def cmd_eval(o):
     outputs = ["report.json"]
     if o.model is not None:
         cond, refined = _refine(o, labels, logits)
-        _check_k(o.condprob_k, labels.n_classes, "--condprob-k")
         outputs.append("per_class.csv")
         refined_report = evaluate(refined, labels, **kwargs)
         report["refined"] = _metrics_block(refined_report, labels.class_names)
@@ -512,6 +517,7 @@ def cmd_analyze(o):
                               f"(given: {' '.join(map(_flag, given)) or 'none'})")
 
     labels = load_labels(o.labels)
+    _check_k(o.k, labels.n_classes, "--k")
     if given == ("before", "after"):
         cond = _load_cond_prob(o.cond_prob, labels)
         before = load_logits(o.before, labels).values
@@ -520,7 +526,6 @@ def cmd_analyze(o):
         logits = load_logits(o.logits, labels)
         cond, after = _refine(o, labels, logits)
         before = logits.values
-    _check_k(o.k, labels.n_classes, "--k")
 
     # both sides score the same labels, so they exclude the same classes
     ap_before, excluded = per_class_average_precision(before, labels.values)

@@ -4,14 +4,14 @@
 a missing, unreadable or non-UTF-8 file raises ValidationError naming it.
 
 CSV grammar, shared by labels, logits and ``A.csv`` and parsed only by
-``read_table``: UTF-8, comma separated, LF or CRLF line endings, no
-quoting (keys must not contain commas). The first header column is the
-key column, ``sample_id`` (labels, logits) or ``class`` (``A.csv``); the
-remaining headers are class names, and every further line is one key and
-one cell per class. Label cells are ``0``/``1``; logit and probability
-cells are finite decimal floats (scientific notation accepted). Files
-written by this module always end lines with LF, so a loaded file is
-reproduced byte for byte modulo the trailing newline.
+``read_table``: UTF-8, comma separated, no quoting (keys must not contain
+commas); lines end with LF, CRLF or CR, and no other character ends a
+line. The first header column is the key column, ``sample_id`` (labels,
+logits) or ``class`` (``A.csv``); the remaining headers are class names,
+and every further line is one key and one cell per class. Label cells are
+``0``/``1``; logit and probability cells are finite decimal floats
+(scientific notation accepted). Written files end lines with LF, so a
+loaded file is reproduced byte for byte modulo the trailing newline.
 
 All values are immutable after construction (arrays are marked
 read-only) and safe to share across threads.
@@ -173,12 +173,12 @@ def _check_labels(values, labels, what: str):
 
 
 def read_lines(path):
-    """The lines of a UTF-8 input file, each with its end (LF, CRLF or CR) as
-    it is, read one at a time; so a CRLF is never cut."""
+    """The lines of a UTF-8 input file, read one at a time, each without its
+    end; ``newline=""`` ends a line at LF, CRLF or CR, and nowhere else."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8", newline="") as fh:
-            yield from fh
+            yield from (line.rstrip("\r\n") for line in fh)
     except FileNotFoundError:
         raise ValidationError(f"file not found: {path}") from None
     except UnicodeDecodeError as exc:
@@ -216,13 +216,13 @@ def read_table(path, key: str, cell, names=None, keys=None):
     in order if given. ``cell`` turns one row's cell texts into a vector,
     raising ValueError on a cell it rejects. Returns the keys, the class
     names and the (rows, classes) matrix; a fault raises ValidationError
-    naming the file and, for a row, its line. Lines are cut as by
-    ``str.splitlines`` and streamed. A fault first decodes and counts the
-    whole file, so a decoding fault outranks every other, and a row count
-    fault any row's.
+    naming the file and, for a row, its line. Lines are those of
+    ``read_lines``, streamed. A fault first decodes and counts the whole
+    file, so a decoding fault outranks every other, and a row count fault
+    any row's.
     """
     def count() -> int:
-        return sum(len(raw.splitlines()) for raw in read_lines(path)) - 1
+        return sum(1 for _ in read_lines(path)) - 1
 
     def fault(message: str, row: bool = True) -> ValidationError:
         n_rows = count()
@@ -232,7 +232,7 @@ def read_table(path, key: str, cell, names=None, keys=None):
         return ValidationError(f"{path}: {message}")
 
     n_rows = count() if keys is None else len(keys)
-    lines = (line for raw in read_lines(path) for line in raw.splitlines())
+    lines = read_lines(path)
     header = next(lines, None)
     if header is None:
         raise fault("empty file", row=False)

@@ -533,7 +533,7 @@ def load_model(path) -> GcnModel:
 
     A malformed file raises ValidationError naming it and the first bad line.
     """
-    lines = "".join(read_lines(path)).splitlines()
+    lines = list(read_lines(path))
     lineno = 1
 
     def tokens(keyword: str | None = None, count: int | None = None) -> list[str]:

@@ -158,10 +158,10 @@ def stacked_sector_table(weights, slope):
 
 
 def whole_text_read_table(path, key, cell, names=None, keys=None):
-    """``read_table`` as a whole-text reader: decode the entire file, cut it
-    with ``str.splitlines``, then check the header, the row count and each
-    row in turn. The streamed reader must reach the same decision, array
-    and message on every input."""
+    """``read_table`` as a whole-text reader: decode the entire file, reading
+    every CRLF and CR as LF, cut it at LF, then check the header, the row
+    count and each row in turn. The streamed reader must reach the same
+    decision, array and message on every input."""
     from pathlib import Path
 
     from coocrefine import ValidationError
@@ -175,7 +175,9 @@ def whole_text_read_table(path, key, cell, names=None, keys=None):
         raise ValidationError(f"{path}: not UTF-8 text: {exc}") from None
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from None
-    lines = text.splitlines()
+    lines = text.split("\n")
+    if lines[-1] == "":
+        del lines[-1]       # the last line's end, or an empty file
     if not lines:
         raise ValidationError(f"{path}: empty file")
     header = lines[0].split(",")

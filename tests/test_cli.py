@@ -74,6 +74,17 @@ class TestPrior:
         assert "bad.csv: line 1: repeated class name 'c0'" in capsys.readouterr().err
         assert not (out / "A.csv").exists()
 
+    @pytest.mark.parametrize("char", ["\x0c", "\x85"], ids=["ff", "nel"])
+    def test_character_that_ends_no_line_stays_in_its_row(self, tmp_path, char):
+        counts = []
+        for name, key in (("lf", "ab"), ("other", f"a{char}b")):
+            labels = tmp_path / f"{name}.csv"
+            labels.write_text(f"sample_id,c0,c1\n{key},1,0\nc,1,1\n", encoding="utf-8")
+            assert main(["prior", "--labels", str(labels), "--out-dir", str(tmp_path / name)]) == 0
+            counts.append((tmp_path / name / "C.csv").read_bytes())
+        assert counts[0] == counts[1]
+        assert read_matrix_csv(tmp_path / "other" / "C.csv")[1].tolist() == [[2, 1], [1, 1]]
+
     def test_unwritable_out_dir(self, fixtures, capsys):
         tmp_path, labels, _ = fixtures
         blocker = tmp_path / "blocker"
@@ -377,12 +388,13 @@ class TestCondProbFile:
         model = tmp_path / "model.txt"
         save_model(init_model((1, 4, 1), 0.01, 0, False), model)
         common = ["--labels", str(labels), "--cond-prob", str(cond), "--out-dir", str(tmp_path)]
+        # k is valid for the 3 classes: a bad k is reported before A.csv is read
         if mode == "eval":
-            argv = ["eval", "--logits", str(logits), "--model", str(model)]
+            argv = ["eval", "--logits", str(logits), "--model", str(model), "--condprob-k", "2"]
         elif mode == "analyze-scores":
-            argv = ["analyze", "--before", str(logits), "--after", str(logits)]
+            argv = ["analyze", "--before", str(logits), "--after", str(logits), "--k", "2"]
         else:
-            argv = ["analyze", "--logits", str(logits), "--model", str(model)]
+            argv = ["analyze", "--logits", str(logits), "--model", str(model), "--k", "2"]
         assert main(argv + common) == 1
         err = capsys.readouterr().err
         assert str(cond) in err and fragment in err
@@ -397,7 +409,7 @@ def test_undecodable_input_exits_1_naming_it(fixtures, capsys, kind):
     save_model(init_model((1, 4, 1), 0.01, 0, False), files["model"])
     files["config"].write_text("{}")
     files[kind].write_bytes(b"\xff" + files[kind].read_bytes())
-    argv = ["eval", "--out-dir", str(tmp_path / "eval")]
+    argv = ["eval", "--condprob-k", "2", "--out-dir", str(tmp_path / "eval")]
     for name, path in files.items():
         argv += [f"--{name.replace('_', '-')}", str(path)]
     assert main(argv) == 1
@@ -453,6 +465,23 @@ class TestConfigPrecedence:
                    "--config", str(config), flag, flag_value, "--out-dir", str(out)])
         assert rc == 1
         assert f"invalid {flag} " in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text, key", [
+        ('{"epochs": "abc", "epochs": 1}', "epochs"),
+        ('{"subcommand": "train", "config": {"epochs": "abc", "epochs": 1}}', "epochs"),
+        ('{"subcommand": "train", "config": {}, "inputs": {"labels": {"path": "a", "path": "b"}}}',
+         "path"),
+    ], ids=["config", "manifest-config", "manifest-inputs"])
+    def test_repeated_key_rejected(self, fixtures, capsys, text, key):
+        tmp_path, labels, logits = fixtures
+        config = tmp_path / "c.json"
+        config.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["train", "--labels", str(labels), "--logits", str(logits),
+                   "--config", str(config), "--out-dir", str(out)])
+        assert rc == 1
+        assert f"c.json: repeated key '{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
@@ -775,8 +804,14 @@ class TestDocumentedExits:
          "validation class names differ from training"),
         (["eval", "--labels", "{labels}", "--logits", "{logits}", "--topk", "9"],
          "top_k must be in [1, 3], got 9"),
+        # a label CSV is no model file, but k is checked before the model is read
+        (["eval", "--labels", "{labels}", "--logits", "{logits}", "--model", "{labels}",
+          "--cond-prob", "{cond}", "--condprob-k", "99"], "--condprob-k must be in [1, 2], got 99"),
+        (["analyze", "--labels", "{labels}", "--cond-prob", "{cond}", "--model", "{labels}",
+          "--logits", "{logits}", "--k", "0"], "--k must be in [1, 2], got 0"),
     ], ids=["eval-condprob-k", "analyze-k", "analyze-bin-size", "analyze-bin-size-inf",
-            "analyze-bin-size-tiny", "train-val-class-names", "eval-topk"])
+            "analyze-bin-size-tiny", "train-val-class-names", "eval-topk",
+            "eval-condprob-k-before-model", "analyze-k-before-model"])
     def test_checks_on_read_inputs_create_no_out_dir(self, fixtures, capsys, argv, message):
         tmp_path, labels, logits = fixtures
         (tmp_path / "A.csv").write_text(A_CSV)
@@ -808,6 +843,6 @@ class TestDocumentedExits:
             cond.write_text(A_CSV.replace("c1,1.0,1.0,0.0", f"c1,1.0,{diagonal},0.0"))
             assert main(["eval", "--labels", str(labels), "--logits", str(logits),
                          "--model", str(tmp_path / "model.txt"), "--cond-prob", str(cond),
-                         "--out-dir", str(tmp_path / "out")]) == 1
+                         "--condprob-k", "2", "--out-dir", str(tmp_path / "out")]) == 1
             err = capsys.readouterr().err
             assert str(cond) in err and "diagonal" in err

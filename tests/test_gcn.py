@@ -448,6 +448,34 @@ class TestSerialization:
             messages.append(str(info.value))
         assert messages[0] == messages[1]
 
+    @pytest.mark.parametrize("space", ["\x0c", "\x85"], ids=["ff", "nel"])
+    def test_space_that_ends_no_line_loads_as_its_lf_copy(self, tmp_path, space):
+        path = tmp_path / "model.txt"
+        save_model(init_model((1, 4, 1), seed=3), path)
+        lf = load_model(path)
+        lines = path.read_text().splitlines()
+        lines[5] = lines[5].replace(" ", space, 1)     # between two weights of layer 1
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        loaded = load_model(path)
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.weights, lf.weights))
+
+    @pytest.mark.parametrize("space", ["\x0c", "\x85"], ids=["ff", "nel"])
+    @pytest.mark.parametrize("lineno, text", [(7, "weights 1 4 2"), (12, "0.5")])
+    def test_malformed_model_with_a_space_that_ends_no_line_names_the_line_of_its_lf_copy(
+        self, tmp_path, space, lineno, text
+    ):
+        path = tmp_path / "model.txt"
+        save_model(init_model((1, 4, 1), seed=3), path)
+        lines = path.read_text().splitlines()
+        lines[lineno - 1:lineno] = [text]
+        messages = []
+        for row in (lines[5], lines[5].replace(" ", space, 1)):
+            path.write_text("\n".join([*lines[:5], row, *lines[6:]]) + "\n", encoding="utf-8")
+            with pytest.raises(ValidationError, match=f"line {lineno}: ") as info:
+                load_model(path)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1]
+
     def test_save_is_deterministic(self, tmp_path):
         model = init_model((1, 4, 1), seed=3)
         first, second = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -17,6 +17,10 @@ digests are equal ran every case alike and wrote byte-identical files.
 Given two trees, it sweeps each, prints every case and file whose digests
 differ and both trees' overall digests, and exits 1 if anything differs.
 Given the same tree twice, it checks that the CLI is deterministic.
+
+In both modes a case named ``exit-1-*`` must exit 1 and every other case
+0; each case that does not is printed (to stderr given one tree), and the
+run exits 1.
 """
 
 from __future__ import annotations
@@ -80,6 +84,9 @@ CASES = (
                              "--out-dir", "bad_condprob_k")),
     ("exit-1-k-0", (*ANALYZE, "--model", "train_val/model.txt", "--logits", "data/logits.csv",
                     "--k", "0", "--out-dir", "bad_k")),
+    ("exit-1-k-before-model", (*ANALYZE, "--model", "data/labels.csv",
+                               "--logits", "data/logits.csv", "--k", "0",
+                               "--out-dir", "bad_k_model")),
     ("exit-1-eps-1", (*TRAIN, "--eps", "1", "--out-dir", "bad_eps")),
     ("exit-1-synth-seed", ("synth", "--seed", "-1", "--out-dir", "bad_synth_seed")),
     ("exit-1-synth-noise-inf", ("synth", "--noise-std", "inf", "--out-dir", "bad_noise")),
@@ -127,23 +134,37 @@ def differences(a: dict, b: dict) -> list[str]:
     return cases + [f"file {name}" for name in names if a["files"].get(name) != b["files"].get(name)]
 
 
+def wrong_exits(tree: Path, result: dict) -> list[str]:
+    """The cases of ``tree``'s sweep that exit otherwise than their names say."""
+    return [f"{tree}: case {r['case']} exited {r['exit']}, expected {expected}"
+            for r in result["records"]
+            if r["exit"] != (expected := int(r["case"].startswith("exit-1-")))]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("tree", type=Path, help="source tree holding src/coocrefine")
     parser.add_argument("other", type=Path, nargs="?", help="a second tree to compare with")
     args = parser.parse_args()
     if args.other is None:
-        print(json.dumps(sweep(args.tree), indent=2))
-        return 0
+        result = sweep(args.tree)
+        print(json.dumps(result, indent=2))
+        wrong = wrong_exits(args.tree, result)
+        for line in wrong:
+            print(line, file=sys.stderr)
+        return 1 if wrong else 0
     a, b = sweep(args.tree), sweep(args.other)
     diff = differences(a, b)
     for line in diff:
         print(f"differs: {line}")
+    wrong = wrong_exits(args.tree, a) + wrong_exits(args.other, b)
+    for line in wrong:
+        print(line)
     for tree, result in ((args.tree, a), (args.other, b)):
         print(f"{tree}: records_sha256 {result['records_sha256']} "
               f"files_sha256 {result['files_sha256']}")
     print(f"{len(diff)} differences over {len(CASES)} cases and {len(a['files'])} files")
-    return 1 if diff else 0
+    return 1 if diff or wrong else 0
 
 
 if __name__ == "__main__":
